@@ -6,8 +6,9 @@
 // the id space across S independent SamplingService shards by
 // SplitMix64::mix(id) % S — every occurrence of an id lands on the same
 // shard, so each shard runs the unmodified Algorithm 3 over a well-defined
-// sub-stream — and feeds them through bounded SPSC queues
-// (util/bounded_queue.hpp) from N producer threads.
+// sub-stream.  ingest() feeds the shards by owner filtering: up to
+// min(producer_threads, S) workers (util/parallel.hpp) each take a shard,
+// scan the whole input and keep only the ids that shard owns.
 //
 // Determinism contract (the load-bearing property, mirrored from
 // util/parallel.hpp's trial-order reduction):
@@ -16,11 +17,9 @@
 //    draws, state_checksum() — is the CANONICAL SERIALIZATION: partition
 //    the input in arrival order into per-shard sub-streams, run each shard
 //    serially over its sub-stream, reduce shard outputs in shard order.
-//  - ingest() produces exactly that for ANY producer thread count, queue
-//    capacity, consumer batching, or scheduling: per-(producer, shard)
-//    queues are FIFO, producer chunks are contiguous, and each shard
-//    consumer drains producers in index order, so shard sub-streams are
-//    reassembled in arrival order.  Threads only change wall clock.
+//  - ingest() produces exactly that for ANY thread count or scheduling:
+//    each shard is fed by one worker, which keeps its ids in arrival
+//    order.  Threads only change wall clock.
 //  - Shard seeds are derive_seed(base.seed, shard): with S = 1 the whole
 //    service is bit-identical to one SamplingService configured with seed
 //    derive_seed(base.seed, 0) (differential-tested).
@@ -29,11 +28,11 @@
 // omniscient shard fed an unknown id), that shard stops at the throw point
 // with partial state accounted per SamplingService's own contract, every
 // OTHER shard still receives its complete sub-stream, and the first
-// exception in shard order is rethrown after the pipeline drains — the
+// exception in shard order is rethrown once every shard has been fed — the
 // same state the canonical serialization reaches, for any thread count.
 //
-// Thread-safety: ingest() runs the internal pipeline concurrently but the
-// service object itself serves one caller at a time; queries
+// Thread-safety: ingest() feeds the shards concurrently but the service
+// object itself serves one caller at a time; queries
 // (sample(), merged_* , state_checksum()) need external exclusion against
 // ingest(), exactly like SamplingService.
 #pragma once
@@ -57,10 +56,7 @@ namespace unisamp {
 struct ShardedServiceConfig {
   ServiceConfig base;
   std::size_t shard_count = 1;       ///< S independent sampler shards
-  std::size_t producer_threads = 1;  ///< N ingest partitioning threads
-  std::size_t queue_capacity = 4096; ///< per-(producer, shard) ring slots,
-                                     ///< 1..2^20 (validated at construction)
-  std::size_t consumer_batch = 1024; ///< ids staged per on_receive_stream
+  std::size_t producer_threads = 1;  ///< threads ingest() may use, capped at S
 };
 
 class ShardedSamplingService {
@@ -72,15 +68,15 @@ class ShardedSamplingService {
     return static_cast<std::size_t>(SplitMix64::mix(id) % shards);
   }
 
-  /// Absorbs a stream through the concurrent pipeline (N producers, S
-  /// consumers).  Blocking; returns once every id is fully accounted.
+  /// Absorbs a stream on min(producer_threads, S) threads, one shard per
+  /// worker at a time.  Blocking; returns once every id is fully accounted.
   /// Output is bit-identical to ingest_serial for any thread count.
   void ingest(std::span<const NodeId> ids);
 
   /// The canonical serialization: partition in arrival order, feed each
   /// shard serially, in shard order.  The differential reference for
-  /// ingest() — and the fast path ingest() takes when one producer (or one
-  /// shard) makes the pipeline pure overhead.
+  /// ingest() — and the path ingest() takes when it has one thread (or one
+  /// shard).
   void ingest_serial(std::span<const NodeId> ids);
 
   /// getsample over the union of shard memories: a shard is picked with
@@ -110,11 +106,9 @@ class ShardedSamplingService {
   std::uint64_t state_checksum() const;
 
  private:
-  void ingest_pipeline(std::span<const NodeId> ids, std::size_t producers);
-
   ShardedServiceConfig config_;
   std::vector<std::unique_ptr<SamplingService>> shards_;
-  // Serial-path partition buffers, reused so steady state allocates nothing.
+  // Per-shard partition buffers, reused so steady state allocates nothing.
   std::vector<std::vector<NodeId>> staging_;
   Xoshiro256 query_rng_;
 };

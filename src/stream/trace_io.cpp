@@ -12,6 +12,8 @@ namespace unisamp {
 namespace {
 constexpr std::array<char, 8> kMagic = {'U', 'S', 'T', 'R', 'C', '0', '0',
                                         '1'};
+// Bytes of one (id, count) run after the 24-byte header.
+constexpr std::uint64_t kRunBytes = 16;
 
 void write_u64(std::ofstream& out, std::uint64_t v) {
   std::array<unsigned char, 8> buf;
@@ -85,13 +87,23 @@ Stream load_stream_binary(const std::string& path) {
     throw std::runtime_error(path + " is not a unisamp binary trace");
   const std::uint64_t runs = read_u64(in);
   const std::uint64_t total = read_u64(in);
+  // The header is untrusted: its run count must match the bytes actually on
+  // disk, and no allocation is sized from its id total.
+  const std::streampos header_end = in.tellg();
+  in.seekg(0, std::ios::end);
+  const std::uint64_t payload =
+      static_cast<std::uint64_t>(in.tellg() - header_end);
+  in.seekg(header_end);
+  if (!in || payload % kRunBytes != 0 || payload / kRunBytes != runs)
+    throw std::runtime_error("binary trace size does not match its header in " +
+                             path);
   Stream stream;
-  stream.reserve(total);
   for (std::uint64_t r = 0; r < runs; ++r) {
     const std::uint64_t id = read_u64(in);
     const std::uint64_t count = read_u64(in);
-    for (std::uint64_t c = 0; c < count; ++c)
-      stream.push_back(static_cast<NodeId>(id));
+    if (count > total - stream.size())
+      throw std::runtime_error("binary trace length mismatch in " + path);
+    stream.insert(stream.end(), count, static_cast<NodeId>(id));
   }
   if (stream.size() != total)
     throw std::runtime_error("binary trace length mismatch in " + path);

@@ -50,16 +50,11 @@ std::size_t trial_threads() {
 
 void set_trial_threads(std::size_t count) { g_thread_override.store(count); }
 
-void parallel_for_index(std::size_t count,
+void parallel_for_index(std::size_t count, std::size_t max_workers,
                         const std::function<void(std::size_t)>& body) {
   if (count == 0) return;
 
-  const std::size_t workers = std::min(trial_threads(), count);
-  if (workers <= 1) {
-    for (std::size_t i = 0; i < count; ++i) body(i);
-    return;
-  }
-
+  const std::size_t workers = std::min(max_workers, count);
   std::atomic<std::size_t> next{0};
   std::exception_ptr first_error;
   std::mutex error_mutex;
@@ -77,8 +72,8 @@ void parallel_for_index(std::size_t count,
     }
   };
 
+  // The calling thread is a worker too; alone, it visits indices in order.
   std::vector<std::thread> pool;
-  pool.reserve(workers - 1);
   for (std::size_t w = 1; w < workers; ++w) {
     try {
       pool.emplace_back(worker_loop);
@@ -90,6 +85,11 @@ void parallel_for_index(std::size_t count,
   for (std::thread& t : pool) t.join();
 
   if (first_error) std::rethrow_exception(first_error);
+}
+
+void parallel_for_index(std::size_t count,
+                        const std::function<void(std::size_t)>& body) {
+  parallel_for_index(count, trial_threads(), body);
 }
 
 }  // namespace unisamp

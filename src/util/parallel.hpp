@@ -33,11 +33,17 @@ std::size_t trial_threads();
 /// Overrides the worker count (0 restores automatic resolution).
 void set_trial_threads(std::size_t count);
 
-/// Runs `body(i)` for every i in [0, count) across `trial_threads()`
-/// workers (inline when a single worker suffices).  Indices are handed out
+/// Runs `body(i)` for every i in [0, count) across at most
+/// min(max_workers, count) workers, the calling thread among them (inline,
+/// in index order, when a single worker suffices).  Indices are handed out
 /// by an atomic counter, so `body` must be safe to call concurrently for
-/// distinct indices.  The first exception thrown by any index is rethrown
-/// to the caller after all workers finish.
+/// distinct indices.  If a worker thread cannot be spawned the workers
+/// already running take its share.  The first exception thrown by any
+/// index is rethrown to the caller after every index has run.
+void parallel_for_index(std::size_t count, std::size_t max_workers,
+                        const std::function<void(std::size_t)>& body);
+
+/// parallel_for_index capped at `trial_threads()` workers.
 void parallel_for_index(std::size_t count,
                         const std::function<void(std::size_t)>& body);
 

@@ -127,6 +127,45 @@ TEST(ParallelTest, ExceptionsPropagateToCaller) {
       std::runtime_error);
 }
 
+// The worker-cap overload: the cap, not trial_threads(), bounds the pool.
+TEST(ParallelTest, WorkerCapOverload) {
+  ThreadCountGuard guard;
+  set_trial_threads(8);
+
+  // Cap 1: inline on the calling thread, in index order.
+  std::vector<std::size_t> order;
+  const std::thread::id caller = std::this_thread::get_id();
+  bool inline_only = true;
+  parallel_for_index(20, 1, [&](std::size_t i) {
+    order.push_back(i);
+    inline_only = inline_only && std::this_thread::get_id() == caller;
+  });
+  std::vector<std::size_t> expected(20);
+  std::iota(expected.begin(), expected.end(), std::size_t{0});
+  EXPECT_EQ(order, expected);
+  EXPECT_TRUE(inline_only);
+
+  // A cap above count: every index still runs exactly once.
+  std::vector<std::atomic<int>> hits(5);
+  parallel_for_index(5, 64, [&](std::size_t i) { hits[i].fetch_add(1); });
+  for (std::size_t i = 0; i < hits.size(); ++i) EXPECT_EQ(hits[i].load(), 1);
+
+  // The first exception surfaces only after every index has run.
+  for (const std::size_t cap : {1u, 3u}) {
+    SCOPED_TRACE(::testing::Message() << "cap=" << cap);
+    std::vector<std::atomic<int>> ran(32);
+    EXPECT_THROW(parallel_for_index(32, cap,
+                                    [&](std::size_t i) {
+                                      ran[i].fetch_add(1);
+                                      if (i == 0 || i == 17)
+                                        throw std::runtime_error("index");
+                                    }),
+                 std::runtime_error);
+    for (std::size_t i = 0; i < ran.size(); ++i)
+      EXPECT_EQ(ran[i].load(), 1) << "index " << i;
+  }
+}
+
 TEST(ParallelTest, ThreadCountOverrideAndReset) {
   ThreadCountGuard guard;
   set_trial_threads(3);

@@ -1,9 +1,8 @@
 // The determinism contract of ShardedSamplingService, tested
-// differentially: for any shard count S, ingest() through the concurrent
-// pipeline must be bit-identical to the canonical serialization
-// (ingest_serial), for every producer thread count, queue capacity and
-// consumer batch size; and with S = 1 the whole service must collapse to a
-// plain SamplingService seeded with derive_seed(base.seed, 0).
+// differentially: for any shard count S, the concurrent ingest() must be
+// bit-identical to the canonical serialization (ingest_serial) for every
+// thread count; and with S = 1 the whole service must collapse to a plain
+// SamplingService seeded with derive_seed(base.seed, 0).
 #include "core/sharded_service.hpp"
 
 #include <gtest/gtest.h>
@@ -26,7 +25,7 @@ Stream biased_stream(std::size_t n, std::size_t m, std::uint64_t seed) {
   return gen.take(m);
 }
 
-ShardedServiceConfig config_for(std::size_t shards, std::size_t producers,
+ShardedServiceConfig config_for(std::size_t shards, std::size_t threads,
                                 bool record = true) {
   ShardedServiceConfig config;
   config.base.strategy = Strategy::kKnowledgeFree;
@@ -36,7 +35,7 @@ ShardedServiceConfig config_for(std::size_t shards, std::size_t producers,
   config.base.seed = 123;
   config.base.record_output = record;
   config.shard_count = shards;
-  config.producer_threads = producers;
+  config.producer_threads = threads;
   return config;
 }
 
@@ -68,17 +67,6 @@ TEST(ShardedServiceTest, RejectsDegenerateConfig) {
   EXPECT_THROW(ShardedSamplingService{cfg}, std::invalid_argument);
   cfg = config_for(2, 0);
   EXPECT_THROW(ShardedSamplingService{cfg}, std::invalid_argument);
-  cfg = config_for(2, 2);
-  cfg.consumer_batch = 0;
-  EXPECT_THROW(ShardedSamplingService{cfg}, std::invalid_argument);
-  cfg = config_for(2, 2);
-  cfg.queue_capacity = 0;
-  EXPECT_THROW(ShardedSamplingService{cfg}, std::invalid_argument);
-  cfg = config_for(2, 2);
-  // Above the documented 2^20 cap: must throw instead of attempting (or
-  // hanging on) an absurd per-queue allocation.
-  cfg.queue_capacity = (std::size_t{1} << 20) + 1;
-  EXPECT_THROW(ShardedSamplingService{cfg}, std::invalid_argument);
 }
 
 // With one shard the service is the paper's unmodified sampling service:
@@ -102,42 +90,20 @@ TEST(ShardedServiceTest, SingleShardMatchesPlainService) {
     ASSERT_EQ(sharded.sample(), plain.sample()) << "draw " << i;
 }
 
-// The tentpole property: the concurrent pipeline is a pure function of
+// The tentpole property: the concurrent ingest is a pure function of
 // (config, input) — bit-identical to the canonical serialization for every
-// (S, producer count) combination, including producer counts far above the
-// machine's core count.
-TEST(ShardedServiceTest, PipelineMatchesSerialAcrossShardAndThreadMatrix) {
+// (S, thread count) combination, including thread counts above S and above
+// the machine's core count.
+TEST(ShardedServiceTest, ConcurrentIngestMatchesSerialAcrossShardAndThreadMatrix) {
   const Stream input = biased_stream(300, 40000, 11);
 
   for (const std::size_t shards : {1u, 2u, 4u, 7u}) {
     ShardedSamplingService reference(config_for(shards, 1));
     reference.ingest_serial(input);
-    for (const std::size_t producers : {1u, 2u, 4u, 8u}) {
+    for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
       SCOPED_TRACE(::testing::Message()
-                   << "shards=" << shards << " producers=" << producers);
-      ShardedSamplingService concurrent(config_for(shards, producers));
-      concurrent.ingest(input);
-      expect_identical(reference, concurrent);
-    }
-  }
-}
-
-// Queue capacity and consumer batching are pure performance knobs — tiny
-// rings force constant full/empty boundary churn and sub-batch flushes, the
-// exact regime where an ordering bug would show.
-TEST(ShardedServiceTest, QueueAndBatchSizesDoNotChangeResults) {
-  const Stream input = biased_stream(150, 20000, 13);
-
-  ShardedSamplingService reference(config_for(3, 1));
-  reference.ingest_serial(input);
-  for (const std::size_t capacity : {2u, 16u, 4096u}) {
-    for (const std::size_t batch : {1u, 7u, 1024u}) {
-      SCOPED_TRACE(::testing::Message()
-                   << "capacity=" << capacity << " batch=" << batch);
-      auto cfg = config_for(3, 4);
-      cfg.queue_capacity = capacity;
-      cfg.consumer_batch = batch;
-      ShardedSamplingService concurrent(cfg);
+                   << "shards=" << shards << " threads=" << threads);
+      ShardedSamplingService concurrent(config_for(shards, threads));
       concurrent.ingest(input);
       expect_identical(reference, concurrent);
     }
@@ -183,31 +149,36 @@ TEST(ShardedServiceTest, SampleSequenceIsDeterministic) {
 // Exception contract: a shard whose sampler throws (omniscient shard fed an
 // id outside the known population) stops with partial state, every other
 // shard completes its full sub-stream, the exception surfaces to the
-// caller — and the pipeline reaches exactly the serial path's state.
+// caller — and the concurrent ingest reaches exactly the serial path's
+// state.  With 2 threads for 4 shards one worker feeds two shards, and must
+// keep feeding after a sibling shard threw.
 TEST(ShardedServiceTest, ThrowingShardMatchesSerialAndOthersComplete) {
   const std::size_t n = 50;
-  auto make_config = [&](std::size_t producers) {
-    ShardedServiceConfig cfg = config_for(4, producers);
+  auto make_config = [&](std::size_t threads) {
+    ShardedServiceConfig cfg = config_for(4, threads);
     cfg.base.strategy = Strategy::kOmniscient;
     cfg.base.known_probabilities = zipf_weights(n, 1.2);
-    cfg.consumer_batch = 8;  // several flushes per shard before the poison
     return cfg;
   };
 
   // Poison id: outside [0, n), so its shard's OmniscientSampler throws.
+  // The input is long enough for several 1024-id batches per shard on
+  // either side of it.
   const NodeId poison = 99999;
   const std::size_t poisoned_shard =
       ShardedSamplingService::shard_of(poison, 4);
-  Stream input = biased_stream(n, 8000, 23);
+  Stream input = biased_stream(n, 40000, 23);
   input.insert(input.begin() + input.size() / 2, poison);
 
   ShardedSamplingService serial(make_config(1));
   EXPECT_THROW(serial.ingest_serial(input), std::out_of_range);
 
-  ShardedSamplingService concurrent(make_config(4));
-  EXPECT_THROW(concurrent.ingest(input), std::out_of_range);
-
-  expect_identical(serial, concurrent);
+  for (const std::size_t threads : {2u, 4u}) {
+    SCOPED_TRACE(::testing::Message() << "threads=" << threads);
+    ShardedSamplingService concurrent(make_config(threads));
+    EXPECT_THROW(concurrent.ingest(input), std::out_of_range);
+    expect_identical(serial, concurrent);
+  }
   // Every healthy shard absorbed its complete sub-stream.
   std::uint64_t healthy = 0;
   for (std::size_t s = 0; s < 4; ++s)

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <string>
+#include <vector>
 
 #include "stream/generators.hpp"
 #include "stream/webtrace.hpp"
@@ -94,6 +97,40 @@ TEST_F(TraceIoTest, BinaryRejectsTruncation) {
   // Truncate the file mid-pair.
   std::filesystem::resize_file(p, std::filesystem::file_size(p) - 4);
   EXPECT_THROW(load_stream_binary(p), std::runtime_error);
+}
+
+// Writes a USTRC001 header (runs, total) followed by the given raw u64s.
+void write_raw_trace(const std::string& p, std::uint64_t runs,
+                     std::uint64_t total,
+                     const std::vector<std::uint64_t>& payload) {
+  std::ofstream out(p, std::ios::binary);
+  out << "USTRC001";
+  std::vector<std::uint64_t> words = {runs, total};
+  words.insert(words.end(), payload.begin(), payload.end());
+  for (std::uint64_t w : words)
+    for (int i = 0; i < 8; ++i) out.put(static_cast<char>(w >> (8 * i)));
+}
+
+// The header's id total is untrusted: a 24-byte file claiming 2^40 ids must
+// fail as a malformed trace, not by attempting a 2^40-id allocation.
+TEST_F(TraceIoTest, BinaryRejectsHugeTotalWithoutAllocating) {
+  const auto p = track(path("b6.bin"));
+  write_raw_trace(p, 0, std::uint64_t{1} << 40, {});
+  ASSERT_EQ(std::filesystem::file_size(p), 24u);
+  EXPECT_THROW(load_stream_binary(p), std::runtime_error);
+}
+
+// The file must be exactly 24 + 16 * runs bytes.
+TEST_F(TraceIoTest, BinaryRejectsSizeNotMatchingRunCount) {
+  const auto p = track(path("b7.bin"));
+  write_raw_trace(p, std::uint64_t{1} << 40, 1, {7, 1});  // one run on disk
+  EXPECT_THROW(load_stream_binary(p), std::runtime_error);
+  write_raw_trace(p, 1, 1, {7, 1, 0});  // trailing bytes after the last run
+  EXPECT_THROW(load_stream_binary(p), std::runtime_error);
+  write_raw_trace(p, 1, 1, {7, std::uint64_t{1} << 40});  // run above total
+  EXPECT_THROW(load_stream_binary(p), std::runtime_error);
+  write_raw_trace(p, 1, 1, {7, 1});  // the well-formed file
+  EXPECT_EQ(load_stream_binary(p), (Stream{7}));
 }
 
 TEST_F(TraceIoTest, CalibratedTraceRoundTrip) {

@@ -115,10 +115,10 @@ std::size_t env_size_t(const char* name, std::size_t fallback,
 /// on S (BENCH_baseline.json records the default, S=4).
 std::size_t env_shards() { return env_size_t("UNISAMP_SHARDS", 4, 256); }
 
-/// Producer count N of service/sharded_ingest.  MUST never move the
-/// checksum (sharded-service determinism contract); defaults to the 8
-/// producers the multicore baseline records.
-std::size_t env_producer_threads() {
+/// Ingest thread count N of service/sharded_ingest (at most S run).  MUST
+/// never move the checksum (sharded-service determinism contract);
+/// defaults to the 8 the multicore baseline records.
+std::size_t env_ingest_threads() {
   return env_size_t("UNISAMP_THREADS", 8, 1024);
 }
 
@@ -251,16 +251,17 @@ void register_scenarios(bh::ScenarioRegistry& reg) {
              }});
   }
 
-  // -- the sharded concurrent ingest front: S sampler shards fed through
-  //    per-(producer, shard) SPSC queues.  UNISAMP_SHARDS overrides the
-  //    shard count (default 4) and UNISAMP_THREADS the producer count
-  //    (default 8) — the checksum depends on the shard count (different
-  //    partitions, different per-shard seeds) but NEVER on the producer
-  //    count, which is what the CI determinism matrix asserts.
+  // -- the sharded concurrent ingest front: S sampler shards, each fed by
+  //    a worker that filters the whole input for the ids it owns.
+  //    UNISAMP_SHARDS overrides the shard count (default 4) and
+  //    UNISAMP_THREADS the thread count (default 8, capped at S) — the
+  //    checksum depends on the shard count (different partitions,
+  //    different per-shard seeds) but NEVER on the thread count, which is
+  //    what the CI determinism matrix asserts.
   {
     reg.add({"service/sharded_ingest",
              "ShardedSamplingService ingest, kf strategy, S shards (env "
-             "UNISAMP_SHARDS, default 4) x N producers (UNISAMP_THREADS, "
+             "UNISAMP_SHARDS, default 4) on N threads (UNISAMP_THREADS, "
              "default 8)",
              2'000'000, 100'000,
              [stream](std::uint64_t items, std::uint64_t seed) {
@@ -273,7 +274,7 @@ void register_scenarios(bh::ScenarioRegistry& reg) {
                config.base.seed = derive_seed(seed, 42);
                config.base.record_output = false;
                config.shard_count = env_shards();
-               config.producer_threads = env_producer_threads();
+               config.producer_threads = env_ingest_threads();
                ShardedSamplingService service(std::move(config));
                service.ingest(in);
                // Fold the merged per-id emission counts over the domain
