@@ -55,7 +55,7 @@ ChurnReport run_churn_phase_with_report(SimDriver& driver,
 
 /// COMPATIBILITY SHIMS: run the churn phase through an internal
 /// degenerate rounds-mode SimDriver — bit-identical to the historical
-/// toggle-then-run_round loop.
+/// toggle-then-round loop.
 std::size_t run_churn_phase(GossipNetwork& net, const ChurnConfig& config);
 ChurnReport run_churn_phase_with_report(GossipNetwork& net,
                                         const ChurnConfig& config);

@@ -2,8 +2,6 @@
 
 #include <stdexcept>
 
-#include "sim/driver.hpp"
-
 namespace unisamp {
 
 GossipNetwork::GossipNetwork(Topology topology, GossipConfig config,
@@ -105,29 +103,6 @@ const Stream& GossipNetwork::input_stream(std::size_t node) const {
   if (!config_.record_inputs)
     throw std::logic_error("input recording was not enabled");
   return nodes_[node].input;
-}
-
-void GossipNetwork::run_round_reference() {
-  // The pre-event-engine lockstep loop: adversary hook, sends in node
-  // index order with immediate unbounded delivery, one full flush.  The
-  // differential suite pins SimDriver's degenerate rounds config against
-  // this oracle.
-  begin_tick(rounds_);
-  for (std::size_t from = 0; from < nodes_.size(); ++from)
-    emit_sends(from, [this](std::uint32_t to, NodeId id) {
-      accept_delivery(to, id, 0);
-    });
-  flush_tick(0);
-}
-
-void GossipNetwork::run_round() {
-  SimDriver driver(*this, TimingModel::rounds());
-  driver.run_ticks(1);
-}
-
-void GossipNetwork::run_rounds(std::size_t rounds) {
-  SimDriver driver(*this, TimingModel::rounds());
-  driver.run_ticks(rounds);
 }
 
 void GossipNetwork::set_active(std::size_t node, bool active) {

@@ -9,6 +9,9 @@
 // which is exactly the handle the paper's adversary tries to exploit
 // (Sec. V): colliding forged ids inflate f̂_j for a victim j.
 //
+// The conservative-update ablation (Estan & Varghese) is the same class
+// template with another update rule (CountMinUpdate).
+//
 // The knowledge-free sampler also needs min_sigma, the minimum over the
 // whole matrix (line 6 of Algorithm 3); we maintain it incrementally.
 //
@@ -60,16 +63,30 @@ struct CountMinParams {
   double delta() const;
 };
 
-/// Streaming Count-Min sketch.
+/// Which cells an update raises: the one difference between the two
+/// BasicCountMinSketch instantiations.
+enum class CountMinUpdate : std::uint8_t {
+  kPlain,         ///< every row's cell gains `count` (Algorithm 2)
+  kConservative,  ///< only cells below est + count are raised to it, est
+                  ///< being the pre-update estimate (Estan & Varghese,
+                  ///< SIGCOMM 2002): strictly tighter point estimates
+};
+
+/// Streaming Count-Min sketch with update rule `U`.  Storage, hashing,
+/// point reads, min tracking and re-keying are shared; only the update
+/// step differs.
 ///
-/// Contracts shared by every member:
-///  - Complexity: update / estimate / update_and_estimate are O(s) in the
-///    row count (one 2-universal hash evaluation per row); min_counter and
-///    total_count are O(1); merge / halve are O(k*s).
+/// Contracts:
+///  - Complexity: update / estimate / update_and_estimate and their
+///    prehashed forms are O(s) in the row count (one 2-universal hash
+///    evaluation per row); min_counter and total_count are O(1); merge /
+///    halve are O(k*s).
 ///  - Determinism: all state is a pure function of (params.width/depth/seed,
 ///    the sequence of mutating calls).  Two sketches built with the same
 ///    dimensions/seed and fed the same call sequence are bit-identical, on
 ///    any machine, for ANY kernel choice.
+///  - Min tracking: no update rule lowers a counter, so a multiplicity
+///    count keeps min_sigma in O(1) amortized between merge/halve calls.
 ///  - Thread-safety: no internal synchronisation.  Concurrent const access
 ///    is safe; any mutating call requires external exclusion.
 ///
@@ -79,7 +96,8 @@ struct CountMinParams {
 ///   prehash_block(ids, n, pre); for i: update_and_estimate_prehashed(pre, i)
 /// is bit-identical to calling update_and_estimate(ids[i]) per id — the
 /// prehash only moves the hashing, never changes it.
-class CountMinSketch {
+template <CountMinUpdate U>
+class BasicCountMinSketch {
  public:
   /// Max ids per prehash_block call (= sketch_detail::kPrehashBlock).
   static constexpr std::size_t kPrehashBlock = sketch_detail::kPrehashBlock;
@@ -87,10 +105,12 @@ class CountMinSketch {
   /// prehash index buffers: depth * kPrehashBlock u32 entries suffice.
   static constexpr std::size_t kMaxDepth = sketch_detail::kMaxDepth;
 
-  explicit CountMinSketch(const CountMinParams& params);
+  explicit BasicCountMinSketch(const CountMinParams& params);
 
-  /// Processes one stream item (increments one counter per row).
-  void update(std::uint64_t item, std::uint64_t count = 1);
+  /// Processes one stream item under the update rule.
+  void update(std::uint64_t item, std::uint64_t count = 1) {
+    (void)update_and_estimate(item, count);
+  }
 
   /// f̂_item = min over rows of the counter item maps to.  Never
   /// underestimates the true frequency.
@@ -100,8 +120,8 @@ class CountMinSketch {
   /// rows ONCE and reusing the row indices for the estimate read — the
   /// knowledge-free sampler's hot path (Algorithm 3 updates the sketch and
   /// immediately reads f̂ for the same id).  Bit-identical to the two-call
-  /// sequence: returns min over rows of the POST-increment counters and
-  /// leaves the sketch in exactly the state update() would.
+  /// sequence: returns the post-update estimate and leaves the sketch in
+  /// exactly the state update() would.
   std::uint64_t update_and_estimate(std::uint64_t item,
                                     std::uint64_t count = 1);
 
@@ -128,48 +148,52 @@ class CountMinSketch {
   }
 
   /// update_and_estimate(items[i], count) consuming prehashed indices.
-  /// Two-way unrolled with independent accumulators: each row's cell is
-  /// distinct (physical index === row mod stride), so the per-cell work is
-  /// independent and min/sum are associative — halving the min-chain depth
-  /// changes the schedule, never the result.
   std::uint64_t update_and_estimate_prehashed(const std::uint32_t* pre,
                                               std::size_t i,
                                               std::uint64_t count = 1) {
-    // Locals for everything the loop reads: the table stores could alias
-    // the members through the u64* otherwise, forcing a reload per row.
-    std::uint64_t* const table = table_.data();
-    const std::uint64_t min_c = min_counter_;
-    const std::size_t depth = layout_.depth;
-    std::uint64_t best0 = std::numeric_limits<std::uint64_t>::max();
-    std::uint64_t best1 = std::numeric_limits<std::uint64_t>::max();
-    std::size_t hits0 = 0, hits1 = 0;
-    std::size_t row = 0;
-    for (; row + 2 <= depth; row += 2) {
-      std::uint64_t& cell0 = table[pre[row * kPrehashBlock + i]];
-      std::uint64_t& cell1 = table[pre[(row + 1) * kPrehashBlock + i]];
-      // One load per cell: the incremented value feeds both the store and
-      // the min chain from a register (re-reading cell after the store
-      // would put a store-to-load forward on the critical path).
-      const std::uint64_t v0 = cell0;
-      const std::uint64_t v1 = cell1;
-      hits0 += (v0 == min_c);
-      hits1 += (v1 == min_c);
-      cell0 = v0 + count;
-      cell1 = v1 + count;
-      best0 = std::min(best0, v0 + count);
-      best1 = std::min(best1, v1 + count);
+    if constexpr (U == CountMinUpdate::kConservative) {
+      return raise_cells(pre + i, kPrehashBlock, count);
+    } else {
+      // Two-way unrolled with independent accumulators: each row's cell is
+      // distinct (physical index === row mod stride), so the per-cell work
+      // is independent and min/sum are associative — halving the min-chain
+      // depth changes the schedule, never the result.
+      // Locals for everything the loop reads: the table stores could alias
+      // the members through the u64* otherwise, forcing a reload per row.
+      std::uint64_t* const table = table_.data();
+      const std::uint64_t min_c = min_counter_;
+      const std::size_t depth = layout_.depth;
+      std::uint64_t best0 = std::numeric_limits<std::uint64_t>::max();
+      std::uint64_t best1 = std::numeric_limits<std::uint64_t>::max();
+      std::size_t hits0 = 0, hits1 = 0;
+      std::size_t row = 0;
+      for (; row + 2 <= depth; row += 2) {
+        std::uint64_t& cell0 = table[pre[row * kPrehashBlock + i]];
+        std::uint64_t& cell1 = table[pre[(row + 1) * kPrehashBlock + i]];
+        // One load per cell: the incremented value feeds both the store and
+        // the min chain from a register (re-reading cell after the store
+        // would put a store-to-load forward on the critical path).
+        const std::uint64_t v0 = cell0;
+        const std::uint64_t v1 = cell1;
+        hits0 += (v0 == min_c);
+        hits1 += (v1 == min_c);
+        cell0 = v0 + count;
+        cell1 = v1 + count;
+        best0 = std::min(best0, v0 + count);
+        best1 = std::min(best1, v1 + count);
+      }
+      if (row < depth) {
+        std::uint64_t& cell = table[pre[row * kPrehashBlock + i]];
+        const std::uint64_t v = cell;
+        hits0 += (v == min_c);
+        cell = v + count;
+        best0 = std::min(best0, v + count);
+      }
+      min_multiplicity_ -= hits0 + hits1;
+      total_ += count;
+      if (min_multiplicity_ == 0) recompute_min();
+      return std::min(best0, best1);
     }
-    if (row < depth) {
-      std::uint64_t& cell = table[pre[row * kPrehashBlock + i]];
-      const std::uint64_t v = cell;
-      hits0 += (v == min_c);
-      cell = v + count;
-      best0 = std::min(best0, v + count);
-    }
-    min_multiplicity_ -= hits0 + hits1;
-    total_ += count;
-    if (min_multiplicity_ == 0) recompute_min();
-    return std::min(best0, best1);
   }
 
   /// estimate(items[i]) consuming prehashed indices.
@@ -200,12 +224,15 @@ class CountMinSketch {
   }
 
   /// Merges another sketch built with the SAME params/seed (counter-wise
-  /// sum) — used when aggregating sub-stream sketches.
-  void merge(const CountMinSketch& other);
+  /// sum) — used when aggregating sub-stream sketches.  Plain update only:
+  /// summing conservative sketches does not give the sketch of the union.
+  void merge(const BasicCountMinSketch& other)
+    requires(U == CountMinUpdate::kPlain);
 
   /// Halves every counter (integer division) and the total; substrate of
   /// the exponentially decaying variant (sketch/decaying.hpp).
-  void halve();
+  void halve()
+    requires(U == CountMinUpdate::kPlain);
 
   /// Rebuilds the sketch from `params`: fresh hash coefficients, every
   /// counter zeroed.  The online re-keying lever (scenario DefenseSpec):
@@ -223,6 +250,12 @@ class CountMinSketch {
 
  private:
   void recompute_min();
+
+  /// The conservative read-then-raise body over precomputed physical cell
+  /// indices idx[row * idx_stride].
+  std::uint64_t raise_cells(const std::uint32_t* idx, std::size_t idx_stride,
+                            std::uint64_t count)
+    requires(U == CountMinUpdate::kConservative);
 
   sketch_detail::HashBlockArgs hash_args() const noexcept {
     sketch_detail::HashBlockArgs args;
@@ -254,114 +287,19 @@ class CountMinSketch {
   sketch_detail::AlignedU64Buffer table_;
   std::uint64_t min_counter_ = 0;
   std::uint64_t total_ = 0;
-  // How many counters currently equal min_counter_; lets update() refresh the
-  // minimum in O(1) amortized instead of scanning the matrix.
+  // How many counters currently equal min_counter_; lets an update refresh
+  // the minimum in O(1) amortized instead of scanning the matrix.
   std::size_t min_multiplicity_;
 };
 
-/// Conservative-update variant (Estan & Varghese): on update, only counters
-/// equal to the current estimate are incremented.  Strictly tighter
-/// estimates than plain Count-Min for point queries; used as an ablation of
-/// the knowledge-free sampler's frequency oracle.
-///
-/// Same complexity / determinism / thread-safety / batch-front-end
-/// contracts as CountMinSketch (O(s) updates and point reads,
-/// bit-deterministic from (dimensions, seed, call sequence) for any kernel,
-/// const-safe only).
-class ConservativeCountMinSketch {
- public:
-  static constexpr std::size_t kPrehashBlock = sketch_detail::kPrehashBlock;
-  static constexpr std::size_t kMaxDepth = sketch_detail::kMaxDepth;
+// Both sketches are instantiated once, in count_min.cpp.
+extern template class BasicCountMinSketch<CountMinUpdate::kPlain>;
+extern template class BasicCountMinSketch<CountMinUpdate::kConservative>;
 
-  explicit ConservativeCountMinSketch(const CountMinParams& params);
-
-  void update(std::uint64_t item, std::uint64_t count = 1);
-  std::uint64_t estimate(std::uint64_t item) const;
-
-  /// Fused update + estimate (see CountMinSketch::update_and_estimate).
-  /// The conservative rule raises every lagging cell to est+count, so the
-  /// post-update estimate is exactly est+count — returned without a second
-  /// read pass, bit-identical to update() then estimate().
-  std::uint64_t update_and_estimate(std::uint64_t item,
-                                    std::uint64_t count = 1);
-
-  /// Batch front-end, identical contract to CountMinSketch.
-  void prehash_block(const std::uint64_t* items, std::size_t n,
-                     std::uint32_t* out) const {
-    assert(n <= kPrehashBlock);
-    kernel_(hash_args(), items, n, out);
-    if (layout_.padded_count() * sizeof(std::uint64_t) >=
-        sketch_detail::kPrefetchMinBytes) {
-      const std::uint64_t* base = table_.data();
-      for (std::size_t row = 0; row < layout_.depth; ++row)
-        for (std::size_t i = 0; i < n; ++i)
-          __builtin_prefetch(base + out[row * kPrehashBlock + i], 1);
-    }
-  }
-  std::uint64_t update_and_estimate_prehashed(const std::uint32_t* pre,
-                                              std::size_t i,
-                                              std::uint64_t count = 1);
-  std::uint64_t estimate_prehashed(const std::uint32_t* pre,
-                                   std::size_t i) const {
-    std::uint64_t best = std::numeric_limits<std::uint64_t>::max();
-    for (std::size_t row = 0; row < layout_.depth; ++row)
-      best = std::min(best, table_[pre[row * kPrehashBlock + i]]);
-    return best;
-  }
-
-  /// min_sigma over the whole matrix.  O(1): maintained incrementally the
-  /// same way CountMinSketch does (conservative update never decreases a
-  /// counter, so the minimum is monotone and a multiplicity count suffices).
-  std::uint64_t min_counter() const { return min_counter_; }
-  std::uint64_t total_count() const { return total_; }
-  std::size_t width() const { return layout_.width; }
-  std::size_t depth() const { return layout_.depth; }
-
-  /// Key rotation; same contract as CountMinSketch::rekey.
-  void rekey(const CountMinParams& params);
-
-  std::string_view kernel_name() const {
-    return sketch_detail::kernel_name(resolved_);
-  }
-
-  /// Direct row access for white-box tests.
-  std::uint64_t counter_at(std::size_t row, std::size_t col) const {
-    assert(row < layout_.depth && col < layout_.width);
-    return table_[layout_.index(row, col)];
-  }
-
- private:
-  void recompute_min();
-  /// Shared read-then-raise body over precomputed physical cell indices.
-  std::uint64_t raise_cells(const std::uint32_t* idx, std::size_t idx_stride,
-                            std::uint64_t count);
-
-  sketch_detail::HashBlockArgs hash_args() const noexcept {
-    sketch_detail::HashBlockArgs args;
-    args.a = a_.data();
-    args.b = b_.data();
-    args.magic = magic_;
-    args.range = layout_.width;
-    args.depth = static_cast<std::uint32_t>(layout_.depth);
-    args.stride = static_cast<std::uint32_t>(layout_.stride);
-    return args;
-  }
-
-  static std::uint64_t premix(std::uint64_t item) noexcept {
-    return TwoUniversalFamily::reduce(SplitMix64::mix(item));
-  }
-
-  sketch_detail::InterleavedLayout layout_;
-  sketch_detail::AlignedU64Buffer a_;
-  sketch_detail::AlignedU64Buffer b_;
-  std::uint64_t magic_;
-  sketch_detail::HashBlockFn kernel_;
-  sketch_detail::ResolvedKernel resolved_;
-  sketch_detail::AlignedU64Buffer table_;
-  std::uint64_t total_ = 0;
-  std::uint64_t min_counter_ = 0;
-  // Counters currently equal to min_counter_ (see CountMinSketch).
-  std::size_t min_multiplicity_;
-};
+/// The paper's Algorithm 2.
+using CountMinSketch = BasicCountMinSketch<CountMinUpdate::kPlain>;
+/// Conservative-update ablation.
+using ConservativeCountMinSketch =
+    BasicCountMinSketch<CountMinUpdate::kConservative>;
 
 }  // namespace unisamp

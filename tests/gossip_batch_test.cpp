@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include "core/sampling_service.hpp"
+#include "sim/driver.hpp"
 #include "sim/gossip.hpp"
 #include "sim/topology.hpp"
 #include "stream/types.hpp"
@@ -67,7 +68,7 @@ class GossipBatchTest : public ::testing::TestWithParam<Strategy> {};
 TEST_P(GossipBatchTest, BufferedRoundsMatchPerIdDelivery) {
   GossipNetwork net(Topology::small_world(48, 4, 0.1, 5),
                     gossip_config(7, 6), sampler_config(GetParam()));
-  net.run_rounds(12);
+  SimDriver(net, TimingModel::rounds()).run_ticks(12);
 
   std::uint64_t recorded = 0;
   for (std::size_t i = 6; i < net.size(); ++i) {
@@ -84,15 +85,15 @@ TEST_P(GossipBatchTest, ChurnBetweenRoundsPreservesBitIdentity) {
                     gossip_config(11, 4), sampler_config(GetParam()));
   // Interleave rounds with joins/leaves: departed nodes must receive
   // nothing while away, and every service must still replay per-id.
-  net.run_rounds(3);
+  SimDriver(net, TimingModel::rounds()).run_ticks(3);
   net.set_active(10, false);
   net.set_active(21, false);
   const std::uint64_t in10 = net.input_stream(10).size();
-  net.run_rounds(4);
+  SimDriver(net, TimingModel::rounds()).run_ticks(4);
   EXPECT_EQ(net.input_stream(10).size(), in10);  // no deliveries while away
   net.set_active(10, true);
   net.set_active(33, false);
-  net.run_rounds(5);
+  SimDriver(net, TimingModel::rounds()).run_ticks(5);
 
   std::uint64_t recorded = 0;
   for (std::size_t i = 4; i < net.size(); ++i) {
@@ -118,7 +119,7 @@ TEST(GossipBatchTest, RunsAreReproducible) {
     GossipNetwork net(Topology::small_world(32, 4, 0.2, 9),
                       gossip_config(13, 4),
                       sampler_config(Strategy::kKnowledgeFree));
-    net.run_rounds(10);
+    SimDriver(net, TimingModel::rounds()).run_ticks(10);
     std::vector<Stream> inputs;
     for (std::size_t i = 4; i < net.size(); ++i)
       inputs.push_back(net.input_stream(i));
@@ -140,7 +141,8 @@ TEST(GossipBatchTest, ThrowingServiceLeavesConsistentAccounting) {
   sampler.known_probabilities.assign(24, 1.0 / 24.0);
   GossipNetwork net(Topology::random_regular(24, 4, 3), gossip, sampler);
 
-  EXPECT_THROW(net.run_round(), std::out_of_range);
+  EXPECT_THROW(SimDriver(net, TimingModel::rounds()).run_ticks(1),
+               std::out_of_range);
   for (std::size_t i = 4; i < net.size(); ++i) {
     // Recorded inputs include the poisoned ids; the service accounted only
     // the prefix it accepted before the throw.

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <map>
 
 #include "stream/generators.hpp"
@@ -23,6 +24,15 @@ TEST(CountMinParams, FromErrorMatchesPaperFormulas) {
 TEST(CountMinParams, RejectsBadInputs) {
   EXPECT_THROW(CountMinParams::from_error(0.0, 0.1, 1), std::invalid_argument);
   EXPECT_THROW(CountMinParams::from_error(0.1, 1.5, 1), std::invalid_argument);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(CountMinParams::from_error(nan, 0.01, 1), std::invalid_argument);
+  EXPECT_THROW(CountMinParams::from_error(0.1, nan, 1), std::invalid_argument);
+  // 1/delta overflows to +inf, and a tiny epsilon asks for ~2.7e300
+  // counters: neither may reach the size_t conversion.
+  EXPECT_THROW(CountMinParams::from_error(0.1, 5e-324, 1),
+               std::invalid_argument);
+  EXPECT_THROW(CountMinParams::from_error(1e-300, 0.01, 1),
+               std::invalid_argument);
   EXPECT_THROW(CountMinParams::from_dimensions(0, 5, 1), std::invalid_argument);
   EXPECT_THROW(CountMinParams::from_dimensions(5, 0, 1), std::invalid_argument);
 }
