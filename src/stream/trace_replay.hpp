@@ -116,8 +116,9 @@ void validate(const TraceReplayConfig& config);
 ///  - Thread-safety: none.
 class TraceReplaySource {
  public:
-  /// Validates the config; kTraceFile opens the file (throws
-  /// std::runtime_error on IO failure, like trace_io's loaders).
+  /// Validates the config; kTraceFile opens the file and checks a binary
+  /// trace's header against the file size (throws std::runtime_error on
+  /// IO failure or a malformed header, like trace_io's loaders).
   explicit TraceReplaySource(TraceReplayConfig config);
   ~TraceReplaySource();
   TraceReplaySource(TraceReplaySource&&) noexcept;

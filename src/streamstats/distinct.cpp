@@ -1,10 +1,25 @@
 #include "streamstats/distinct.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <stdexcept>
 
 namespace unisamp {
+
+namespace {
+// 2^-r for every register value r (at most 64 - 4 + 1).  Halving is exact
+// down to 2^-64, so the estimate's sum is the one std::pow would give.
+constexpr std::array<double, 65> kInversePowersOfTwo = [] {
+  std::array<double, 65> table{};
+  double v = 1.0;
+  for (double& t : table) {
+    t = v;
+    v /= 2.0;
+  }
+  return table;
+}();
+}  // namespace
 
 HyperLogLog::HyperLogLog(unsigned precision, std::uint64_t seed)
     : precision_(precision), key_(SplitMix64::mix(seed ^ 0x4C4C4853ULL)) {
@@ -40,7 +55,7 @@ double HyperLogLog::estimate() const {
   double denom = 0.0;
   std::size_t zeros = 0;
   for (std::uint8_t r : registers_) {
-    denom += std::pow(2.0, -static_cast<double>(r));
+    denom += kInversePowersOfTwo[r];
     if (r == 0) ++zeros;
   }
   const double raw = alpha * m * m / denom;

@@ -11,30 +11,52 @@ SpaceSaving::SpaceSaving(std::size_t capacity) : capacity_(capacity) {
   counts_.reserve(capacity);
 }
 
-std::uint64_t SpaceSaving::min_tracked_count() const {
-  std::uint64_t m = std::numeric_limits<std::uint64_t>::max();
-  for (const auto& [id, cell] : counts_) m = std::min(m, cell.count);
-  return counts_.empty() ? 0 : m;
+void SpaceSaving::recount_min() {
+  min_ = std::numeric_limits<std::uint64_t>::max();
+  at_min_ = 0;
+  for (const auto& [id, cell] : counts_) {
+    if (cell.count < min_) {
+      min_ = cell.count;
+      at_min_ = 1;
+    } else if (cell.count == min_) {
+      ++at_min_;
+    }
+  }
+}
+
+void SpaceSaving::raise(Cell& cell, std::uint64_t weight) {
+  if (weight == 0) return;
+  const bool was_min = cell.count == min_;
+  cell.count += weight;
+  if (was_min && --at_min_ == 0) recount_min();
 }
 
 void SpaceSaving::add(std::uint64_t item, std::uint64_t weight) {
   total_ += weight;
   const auto it = counts_.find(item);
   if (it != counts_.end()) {
-    it->second.count += weight;
+    raise(it->second, weight);
     return;
   }
   if (counts_.size() < capacity_) {
+    if (counts_.empty() || weight < min_) {
+      min_ = weight;
+      at_min_ = 1;
+    } else if (weight == min_) {
+      ++at_min_;
+    }
     counts_.emplace(item, Cell{weight, 0});
     return;
   }
-  // Evict the minimum; the newcomer inherits its count as over-estimate.
+  // Evict the first entry at the minimum; the newcomer inherits its count as
+  // over-estimate and takes over its node, still counted in at_min_ until
+  // the weight lands.
   auto victim = counts_.begin();
-  for (auto i = counts_.begin(); i != counts_.end(); ++i)
-    if (i->second.count < victim->second.count) victim = i;
-  const Cell inherited{victim->second.count + weight, victim->second.count};
-  counts_.erase(victim);
-  counts_.emplace(item, inherited);
+  while (victim->second.count != min_) ++victim;
+  auto node = counts_.extract(victim);
+  node.key() = item;
+  node.mapped().error = min_;
+  raise(counts_.insert(std::move(node)).position->second, weight);
 }
 
 std::vector<SpaceSaving::Entry> SpaceSaving::entries() const {
@@ -60,7 +82,7 @@ std::vector<SpaceSaving::Entry> SpaceSaving::heavy_hitters(
 std::uint64_t SpaceSaving::estimate(std::uint64_t item) const {
   const auto it = counts_.find(item);
   if (it != counts_.end()) return it->second.count;
-  return counts_.size() < capacity_ ? 0 : min_tracked_count();
+  return counts_.size() < capacity_ ? 0 : min_;
 }
 
 }  // namespace unisamp

@@ -2,14 +2,20 @@
 // toolbox): HyperLogLog, SpaceSaving, streaming entropy.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <limits>
 #include <map>
 #include <set>
+#include <unordered_map>
+#include <vector>
 
 #include "stream/generators.hpp"
 #include "streamstats/distinct.hpp"
 #include "streamstats/entropy.hpp"
 #include "streamstats/heavy_hitters.hpp"
+#include "util/rng.hpp"
 
 namespace unisamp {
 namespace {
@@ -60,6 +66,66 @@ TEST(Hll, MergeEqualsUnion) {
   for (std::uint64_t i = 2500; i < 7500; ++i) b.add(i);
   a.merge(b);
   EXPECT_NEAR(a.estimate(), 7500.0, 7500.0 * 3.0 * a.standard_error());
+}
+
+// Test-only reference: the register update of HyperLogLog::add and the
+// estimator summed with std::pow, as the library computed it before its
+// table of powers of two.
+double reference_hll_estimate(unsigned precision, std::uint64_t seed,
+                              const std::vector<std::uint64_t>& items) {
+  const std::uint64_t key = SplitMix64::mix(seed ^ 0x4C4C4853ULL);
+  std::vector<std::uint8_t> registers(std::size_t{1} << precision, 0);
+  for (const std::uint64_t item : items) {
+    const std::uint64_t h = SplitMix64::mix(item ^ key);
+    const std::size_t index = h >> (64 - precision);
+    const std::uint64_t rest = h << precision;
+    const std::uint8_t rho =
+        rest == 0 ? static_cast<std::uint8_t>(64 - precision + 1)
+                  : static_cast<std::uint8_t>(__builtin_clzll(rest) + 1);
+    if (rho > registers[index]) registers[index] = rho;
+  }
+  const double m = static_cast<double>(registers.size());
+  double alpha;
+  if (registers.size() == 16)
+    alpha = 0.673;
+  else if (registers.size() == 32)
+    alpha = 0.697;
+  else if (registers.size() == 64)
+    alpha = 0.709;
+  else
+    alpha = 0.7213 / (1.0 + 1.079 / m);
+  double denom = 0.0;
+  std::size_t zeros = 0;
+  for (std::uint8_t r : registers) {
+    denom += std::pow(2.0, -static_cast<double>(r));
+    if (r == 0) ++zeros;
+  }
+  const double raw = alpha * m * m / denom;
+  if (raw <= 2.5 * m && zeros > 0)
+    return m * std::log(m / static_cast<double>(zeros));
+  return raw;
+}
+
+TEST(Hll, EstimateBitIdenticalToPowSum) {
+  for (int r = 0; r <= 64; ++r)
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(std::ldexp(1.0, -r)),
+              std::bit_cast<std::uint64_t>(std::pow(2.0, -r)))
+        << "r=" << r;
+  // Both branches (linear counting and raw) at every alpha case.
+  for (const unsigned precision : {4u, 5u, 6u, 10u, 12u, 16u}) {
+    for (const std::size_t n : {0, 7, 300, 5000, 200000}) {
+      const std::uint64_t seed = precision * 1000 + n;
+      HyperLogLog hll(precision, seed);
+      std::vector<std::uint64_t> items;
+      WeightedStreamGenerator gen(zipf_weights(n + 1, 0.9), seed);
+      for (std::size_t i = 0; i < n; ++i) items.push_back(gen.next() * 7919);
+      for (const std::uint64_t item : items) hll.add(item);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(hll.estimate()),
+                std::bit_cast<std::uint64_t>(
+                    reference_hll_estimate(precision, seed, items)))
+          << "precision=" << precision << " n=" << n;
+    }
+  }
 }
 
 TEST(Hll, MergeRejectsIncompatible) {
@@ -149,6 +215,154 @@ TEST(SpaceSaving, UntrackedEstimateBoundedByMin) {
   ss.add(1, 100);
   ss.add(2, 50);
   EXPECT_EQ(ss.estimate(999), 50u);
+}
+
+// Test-only reference: SpaceSaving as it was before min tracking and node
+// reuse (full strict-< scan for the victim, erase + emplace), the oracle
+// for the library's eviction contract.
+class ReferenceSpaceSaving {
+ public:
+  explicit ReferenceSpaceSaving(std::size_t capacity) : capacity_(capacity) {
+    counts_.reserve(capacity);
+  }
+
+  void add(std::uint64_t item, std::uint64_t weight = 1) {
+    total_ += weight;
+    const auto it = counts_.find(item);
+    if (it != counts_.end()) {
+      it->second.count += weight;
+      return;
+    }
+    if (counts_.size() < capacity_) {
+      counts_.emplace(item, Cell{weight, 0});
+      return;
+    }
+    // Evict the minimum; the newcomer inherits its count as over-estimate.
+    auto victim = counts_.begin();
+    for (auto i = counts_.begin(); i != counts_.end(); ++i)
+      if (i->second.count < victim->second.count) victim = i;
+    const Cell inherited{victim->second.count + weight, victim->second.count};
+    counts_.erase(victim);
+    counts_.emplace(item, inherited);
+  }
+
+  std::vector<SpaceSaving::Entry> entries() const {
+    std::vector<SpaceSaving::Entry> out;
+    for (const auto& [id, cell] : counts_)
+      out.push_back(SpaceSaving::Entry{id, cell.count, cell.error});
+    std::sort(out.begin(), out.end(),
+              [](const SpaceSaving::Entry& a, const SpaceSaving::Entry& b) {
+                return a.count > b.count || (a.count == b.count && a.id < b.id);
+              });
+    return out;
+  }
+
+  std::uint64_t estimate(std::uint64_t item) const {
+    const auto it = counts_.find(item);
+    if (it != counts_.end()) return it->second.count;
+    if (counts_.size() < capacity_) return 0;
+    std::uint64_t m = std::numeric_limits<std::uint64_t>::max();
+    for (const auto& [id, cell] : counts_) m = std::min(m, cell.count);
+    return m;
+  }
+
+  std::uint64_t stream_length() const { return total_; }
+  std::size_t tracked() const { return counts_.size(); }
+
+ private:
+  struct Cell {
+    std::uint64_t count = 0;
+    std::uint64_t error = 0;
+  };
+  std::size_t capacity_;
+  std::unordered_map<std::uint64_t, Cell> counts_;
+  std::uint64_t total_ = 0;
+};
+
+::testing::AssertionResult SameState(const SpaceSaving& ss,
+                                     const ReferenceSpaceSaving& ref,
+                                     const std::vector<std::uint64_t>& probes) {
+  if (ss.stream_length() != ref.stream_length())
+    return ::testing::AssertionFailure() << "stream_length differs";
+  if (ss.tracked() != ref.tracked())
+    return ::testing::AssertionFailure() << "tracked differs";
+  const auto a = ss.entries();
+  const auto b = ref.entries();
+  for (std::size_t i = 0; i < a.size(); ++i)
+    if (a[i].id != b[i].id || a[i].count != b[i].count ||
+        a[i].error != b[i].error)
+      return ::testing::AssertionFailure()
+             << "entry " << i << ": id " << a[i].id << " vs " << b[i].id
+             << ", count " << a[i].count << " vs " << b[i].count
+             << ", error " << a[i].error << " vs " << b[i].error;
+  for (const std::uint64_t id : probes)
+    if (ss.estimate(id) != ref.estimate(id))
+      return ::testing::AssertionFailure() << "estimate(" << id << ") differs";
+  return ::testing::AssertionSuccess();
+}
+
+// Weights 0, 1 and > 1: mostly 1 (the detector's case, full of ties at
+// the minimum), some zero-weight adds and some heavy ones.
+std::uint64_t fuzz_weight(Xoshiro256& rng, bool unit_only) {
+  if (unit_only) return 1;
+  const std::uint64_t roll = rng.next_below(10);
+  if (roll == 0) return 0;
+  if (roll < 7) return 1;
+  return 2 + rng.next_below(20);
+}
+
+constexpr std::size_t kFuzzCapacities[] = {1, 2, 3, 5, 13, 64, 256, 300};
+
+TEST(SpaceSavingDifferential, MatchesReferenceAfterEveryAdd) {
+  for (const std::size_t capacity : kFuzzCapacities) {
+    for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+      const bool unit_only = seed % 2 == 0;
+      const std::size_t domain = capacity * (seed <= 2 ? 2 : 8) + 3;
+      WeightedStreamGenerator gen(zipf_weights(domain, 0.6 + 0.2 * seed),
+                                  seed * 101 + capacity);
+      Xoshiro256 rng(seed * 7 + capacity);
+      SpaceSaving ss(capacity);
+      ReferenceSpaceSaving ref(capacity);
+      for (int i = 0; i < 3000; ++i) {
+        const std::uint64_t id = gen.next();
+        const std::uint64_t w = fuzz_weight(rng, unit_only);
+        ss.add(id, w);
+        ref.add(id, w);
+        // The added id, a random domain id and one never added.
+        const std::vector<std::uint64_t> probes = {id, rng.next_below(domain),
+                                                   domain + 17};
+        ASSERT_TRUE(SameState(ss, ref, probes))
+            << "capacity=" << capacity << " seed=" << seed << " add " << i;
+      }
+    }
+  }
+}
+
+TEST(SpaceSavingDifferential, MatchesReferenceAtEveryWindowEnd) {
+  constexpr std::size_t kWindow = 10000;
+  for (const std::size_t capacity : kFuzzCapacities) {
+    for (std::uint64_t seed = 1; seed <= 2; ++seed) {
+      const bool unit_only = seed == 1;
+      const std::size_t domain = 4000;
+      WeightedStreamGenerator gen(zipf_weights(domain, 0.8 + 0.3 * seed),
+                                  seed * 977 + capacity);
+      Xoshiro256 rng(seed * 13 + capacity);
+      SpaceSaving ss(capacity);
+      ReferenceSpaceSaving ref(capacity);
+      std::vector<std::uint64_t> probes(domain + 1);
+      for (std::uint64_t id = 0; id <= domain; ++id) probes[id] = id;
+      for (std::size_t i = 1; i <= 5 * kWindow; ++i) {
+        const std::uint64_t id = gen.next();
+        const std::uint64_t w = fuzz_weight(rng, unit_only);
+        ss.add(id, w);
+        ref.add(id, w);
+        if (i % kWindow != 0) continue;
+        ASSERT_TRUE(SameState(ss, ref, probes))
+            << "capacity=" << capacity << " seed=" << seed << " window "
+            << i / kWindow;
+      }
+    }
+  }
 }
 
 // --- StreamingEntropy --------------------------------------------------------

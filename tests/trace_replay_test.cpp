@@ -1,13 +1,17 @@
 // TraceReplaySource (src/stream/trace_replay.*): config validation, the
 // deterministic production-workload generators (diurnal / flash crowd /
 // drifting hot set), buffered-vs-slurp bit-identity on both trace_io
-// formats, and the engine workload leg's does-not-perturb-gossip contract.
+// formats, binary block boundaries and untrusted headers, and the engine
+// workload leg's does-not-perturb-gossip contract.
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
+#include <fstream>
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "scenario/engine.hpp"
 #include "scenario/spec.hpp"
@@ -217,6 +221,162 @@ TEST(TraceReplayFileTest, MissingFileThrowsAtConstruction) {
   config.kind = TraceReplayConfig::Kind::kTraceFile;
   config.path = temp_trace_path("missing");
   EXPECT_THROW(TraceReplaySource{config}, std::runtime_error);
+}
+
+// Replays `path` to its end with id_offset 0; every round but the last is
+// full.
+Stream replay_file(const std::string& path, TraceReplayConfig::IoMode io,
+                   std::size_t buffer_ids, std::size_t ids_per_round) {
+  TraceReplayConfig config;
+  config.kind = TraceReplayConfig::Kind::kTraceFile;
+  config.path = path;
+  config.id_offset = 0;
+  config.io = io;
+  config.buffer_ids = buffer_ids;
+  config.ids_per_round = ids_per_round;
+  TraceReplaySource source(config);
+  Stream out;
+  while (source.next_round(out) == ids_per_round) {
+  }
+  EXPECT_EQ(source.total_ids(), out.size());
+  return out;
+}
+
+// Both IO modes, at several chunk and round sizes, serve exactly what the
+// whole-file loader decodes.
+void expect_replay_matches_load(const std::string& path) {
+  const Stream expected = load_stream_binary(path);
+  for (const std::size_t buffer_ids : {1, 7, 4096, 10000}) {
+    for (const std::size_t per_round : {1, 97, 5000}) {
+      const Stream buffered = replay_file(
+          path, TraceReplayConfig::IoMode::kBuffered, buffer_ids, per_round);
+      ASSERT_EQ(buffered, expected)
+          << "buffer_ids=" << buffer_ids << " per_round=" << per_round;
+      ASSERT_EQ(replay_file(path, TraceReplayConfig::IoMode::kSlurp,
+                            buffer_ids, per_round),
+                expected)
+          << "buffer_ids=" << buffer_ids << " per_round=" << per_round;
+    }
+  }
+}
+
+// Runs with lengths 1 + next_below(max_run); adjacent runs never share an
+// id, so save_stream_binary writes exactly `runs` pairs.
+Stream run_stream(std::size_t runs, std::uint64_t max_run, std::uint64_t seed) {
+  Stream trace;
+  Xoshiro256 rng(seed);
+  for (std::size_t r = 0; r < runs; ++r) {
+    const NodeId id = 2 * rng.next_below(1000) + r % 2;
+    const std::uint64_t length = 1 + rng.next_below(max_run);
+    trace.insert(trace.end(), length, id);
+  }
+  return trace;
+}
+
+// Binary runs are read 4096 (id, count) pairs per block: traces of one
+// block exactly, one run past it, several blocks, and runs far longer than
+// the chunk.
+TEST(TraceReplayFileTest, BinaryBlockBoundariesMatchWholeFileLoad) {
+  const std::string path = temp_trace_path("blocks");
+  for (const std::size_t runs : {4095, 4096, 4097, 8192, 10001}) {
+    save_stream_binary(run_stream(runs, 3, runs), path);
+    SCOPED_TRACE("runs=" + std::to_string(runs));
+    expect_replay_matches_load(path);
+  }
+  save_stream_binary(run_stream(40, 30000, 5), path);  // runs > buffer_ids
+  SCOPED_TRACE("long runs");
+  expect_replay_matches_load(path);
+  std::remove(path.c_str());
+}
+
+// Writes a USTRC001 header (runs, total) followed by the given raw u64s.
+void write_raw_trace(const std::string& path, std::uint64_t runs,
+                     std::uint64_t total,
+                     const std::vector<std::uint64_t>& payload) {
+  std::ofstream out(path, std::ios::binary);
+  out << "USTRC001";
+  std::vector<std::uint64_t> words = {runs, total};
+  words.insert(words.end(), payload.begin(), payload.end());
+  for (std::uint64_t w : words)
+    for (int i = 0; i < 8; ++i) out.put(static_cast<char>(w >> (8 * i)));
+}
+
+// Zero-length runs are legal and contribute nothing, also as the first and
+// last run of a block and as the last run of the file.
+TEST(TraceReplayFileTest, BinaryZeroLengthRunsMatchWholeFileLoad) {
+  const std::string path = temp_trace_path("zero_runs");
+  std::vector<std::uint64_t> payload;
+  std::uint64_t total = 0;
+  constexpr std::uint64_t kRuns = 9000;
+  for (std::uint64_t r = 0; r < kRuns; ++r) {
+    const bool empty = r % 5 == 0 || r == 4095 || r == 4096 || r == kRuns - 1;
+    const std::uint64_t length = empty ? 0 : 1 + r % 3;
+    payload.push_back(r % 11);
+    payload.push_back(length);
+    total += length;
+  }
+  write_raw_trace(path, kRuns, total, payload);
+  expect_replay_matches_load(path);
+  std::remove(path.c_str());
+}
+
+// The header is untrusted, as in load_stream_binary: every malformed file
+// throws std::runtime_error (never std::bad_alloc) in both IO modes.
+void expect_rejected_at_construction(const std::string& path) {
+  for (const auto io : {TraceReplayConfig::IoMode::kBuffered,
+                        TraceReplayConfig::IoMode::kSlurp}) {
+    TraceReplayConfig config;
+    config.kind = TraceReplayConfig::Kind::kTraceFile;
+    config.path = path;
+    config.io = io;
+    config.ids_per_round = 1024;
+    EXPECT_THROW(TraceReplaySource{config}, std::runtime_error)
+        << to_string(io);
+  }
+}
+
+// 40 bytes: one run of 2^40 ids under a declared total of 1.  Expanding
+// the run would serve ids far past the total, or allocate terabytes.
+TEST(TraceReplayFileTest, BinaryRejectsRunLongerThanDeclaredTotal) {
+  const std::string path = temp_trace_path("lying_run");
+  write_raw_trace(path, 1, 1, {7, std::uint64_t{1} << 40});
+  ASSERT_EQ(std::filesystem::file_size(path), 40u);
+  expect_rejected_at_construction(path);
+  std::remove(path.c_str());
+}
+
+// A lie further into the file is caught before its run is served: the
+// buffered reader never hands out more ids than the header declares.
+TEST(TraceReplayFileTest, BinaryLateLyingRunNeverExceedsDeclaredTotal) {
+  const std::string path = temp_trace_path("late_lying_run");
+  write_raw_trace(path, 3, 6, {1, 2, 2, 3, 3, std::uint64_t{1} << 40});
+  TraceReplayConfig config;
+  config.kind = TraceReplayConfig::Kind::kTraceFile;
+  config.path = path;
+  config.id_offset = 0;
+  config.buffer_ids = 1;
+  config.ids_per_round = 1;
+  Stream served;
+  EXPECT_THROW(
+      {
+        TraceReplaySource source(config);
+        for (int round = 0; round < 100; ++round) source.next_round(served);
+      },
+      std::runtime_error);
+  EXPECT_LE(served.size(), 6u);
+  config.io = TraceReplayConfig::IoMode::kSlurp;
+  EXPECT_THROW(TraceReplaySource{config}, std::runtime_error);
+  std::remove(path.c_str());
+}
+
+// A payload cut mid-run no longer matches the run count in the header, so
+// the file is rejected when it is opened, not partway through the replay.
+TEST(TraceReplayFileTest, BinaryRejectsPayloadTruncatedMidRun) {
+  const std::string path = temp_trace_path("truncated");
+  save_stream_binary(run_stream(5000, 3, 17), path);
+  std::filesystem::resize_file(path, std::filesystem::file_size(path) - 12);
+  expect_rejected_at_construction(path);
+  std::remove(path.c_str());
 }
 
 }  // namespace
