@@ -2,7 +2,7 @@
 // shaped honest traffic while a static flood runs.  Four panels share one
 // network and attack schedule and differ only in the workload section:
 // diurnal load, a flash crowd, a drifting hot set, and a binary trace file
-// replayed through the double-buffered reader.  The cumulative trace-id
+// replayed through the streaming TraceReader.  The cumulative trace-id
 // column exposes each shape (the diurnal wave, the flash spike); the
 // pollution columns differ across panels only through dilution — honest
 // volume shrinks the malicious share of the outputs while the underlying

@@ -130,6 +130,7 @@ bool write_figure_json(const std::string& path, const FigureDef& def,
   std::ofstream out(path);
   if (!out) return false;
   out << figure_json(def, ctx, report, series) << '\n';
+  out.close();  // flushes; a failed flush fails the stream
   return out.good();
 }
 

@@ -104,6 +104,7 @@ bool write_report_json(const std::string& path,
   std::ofstream out(path);
   if (!out) return false;
   out << report_json(reports, opts) << '\n';
+  out.close();  // flushes; a failed flush fails the stream
   return out.good();
 }
 

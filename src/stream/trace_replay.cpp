@@ -1,15 +1,14 @@
 #include "stream/trace_replay.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
-#include <cstring>
-#include <fstream>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "stream/generators.hpp"
+#include "stream/trace_io.hpp"
 
 namespace unisamp {
 
@@ -85,199 +84,52 @@ void validate(const TraceReplayConfig& config) {
   }
 }
 
-namespace {
-constexpr std::array<char, 8> kMagic = {'U', 'S', 'T', 'R', 'C', '0', '0',
-                                        '1'};
-// Bytes of one (id, count) run after the 24-byte header, and the runs one
-// block read decodes (64 KiB).
-constexpr std::uint64_t kRunBytes = 16;
-constexpr std::uint64_t kBlockRuns = 4096;
-
-std::uint64_t decode_u64(const char* bytes) {
-  std::uint64_t v = 0;
-  for (int i = 7; i >= 0; --i)
-    v = (v << 8) | static_cast<unsigned char>(bytes[i]);
-  return v;
-}
-}  // namespace
-
-// Incremental trace decoding.  kSlurp holds the whole decoded stream;
-// kBuffered keeps two chunk buffers — while the front drains, the back
-// already holds the next chunk — decoding text lines or binary run-length
-// pairs exactly as trace_io's whole-file loaders do (a run longer than a
-// chunk simply spans refills).  Binary runs are read kBlockRuns at a time,
-// and the header is checked as load_stream_binary checks it: the file size
-// must match the run count when the file is opened, and no run may exceed
-// the declared id total.
+// kTraceFile decoding is trace_io's TraceReader.  kSlurp drains it once at
+// construction and serves by a cursor; kBuffered reads straight into the
+// round, at most buffer_ids ids per read.
 struct TraceReplaySource::FileReader {
-  explicit FileReader(const TraceReplayConfig& config) {
-    slurp = config.io == TraceReplayConfig::IoMode::kSlurp;
-    buffer_ids = config.buffer_ids;
-    // Sniff the format: the binary header's magic vs anything else.
-    {
-      std::ifstream probe(config.path, std::ios::binary);
-      if (!probe) throw std::runtime_error("cannot open " + config.path);
-      std::array<char, 8> magic{};
-      probe.read(magic.data(), magic.size());
-      binary = probe &&
-               std::memcmp(magic.data(), kMagic.data(), kMagic.size()) == 0;
-    }
-    path = config.path;
-    in.open(path, binary ? std::ios::in | std::ios::binary : std::ios::in);
-    if (!in) throw std::runtime_error("cannot open " + path);
-    if (binary) open_binary();
-    if (slurp) {
-      // Decode everything now; serving is a cursor walk.
-      std::size_t before = 0;
-      do {
-        before = all.size();
-        fill(all);
-      } while (all.size() > before);
-    } else {
-      fill(buf[0]);
-      fill(buf[1]);
-    }
-  }
-
-  void open_binary() {
-    std::array<char, 16> header;
-    in.seekg(static_cast<std::streamoff>(kMagic.size()));
-    in.read(header.data(), header.size());
-    if (!in) throw std::runtime_error("unexpected end of binary trace");
-    runs_unread = decode_u64(header.data());
-    declared_total = decode_u64(header.data() + 8);
-    const std::streampos header_end = in.tellg();
-    in.seekg(0, std::ios::end);
-    const std::uint64_t payload =
-        static_cast<std::uint64_t>(in.tellg() - header_end);
-    in.seekg(header_end);
-    if (!in || payload % kRunBytes != 0 || payload / kRunBytes != runs_unread)
-      throw std::runtime_error(
-          "binary trace size does not match its header in " + path);
-    block.resize(std::min(runs_unread, kBlockRuns) * kRunBytes);
-  }
-
-  [[noreturn]] void length_mismatch() const {
-    throw std::runtime_error("binary trace length mismatch in " + path);
-  }
-
-  /// Reads the next block of runs (decoding restarts at offset 0); false
-  /// when the file has none left.
-  bool read_block() {
-    if (runs_unread == 0) return false;
-    const std::uint64_t runs = std::min(runs_unread, kBlockRuns);
-    in.read(block.data(), static_cast<std::streamsize>(runs * kRunBytes));
-    if (!in) throw std::runtime_error("unexpected end of binary trace");
-    runs_unread -= runs;
-    block_end = static_cast<std::size_t>(runs * kRunBytes);
-    return true;
-  }
-
-  /// Decodes up to buffer_ids further ids into `sink` (append).  An empty
-  /// result means end of trace.
-  void fill(Stream& sink) {
-    if (binary) {
-      // The decode state lives in locals here: `sink` holds 64-bit values,
-      // so the compiler would otherwise reload the members after each
-      // store.
-      std::size_t room = buffer_ids;
-      std::size_t at = block_pos;
-      NodeId id = run_id;
-      std::uint64_t left = run_left;
-      std::uint64_t decoded = decoded_total;
-      while (room > 0) {
-        if (left == 0) {
-          if (at == block_end) {
-            if (!read_block()) break;
-            at = 0;
-          }
-          id = static_cast<NodeId>(decode_u64(block.data() + at));
-          left = decode_u64(block.data() + at + 8);
-          at += kRunBytes;
-          if (left > declared_total - decoded) length_mismatch();
-          // A zero-length run is legal and contributes nothing.
-          if (left == 0) continue;
-        }
-        const std::uint64_t take = std::min<std::uint64_t>(left, room);
-        sink.insert(sink.end(), static_cast<std::size_t>(take), id);
-        left -= take;
-        room -= static_cast<std::size_t>(take);
-        decoded += take;
-      }
-      block_pos = at;
-      run_id = id;
-      run_left = left;
-      decoded_total = decoded;
-      if (left == 0 && runs_unread == 0 && at == block_end &&
-          !length_checked) {
-        length_checked = true;
-        if (decoded != declared_total) length_mismatch();
-      }
-      return;
-    }
-    const std::size_t target = sink.size() + buffer_ids;
-    std::string line;
-    while (sink.size() < target && std::getline(in, line)) {
-      if (line.empty() || line[0] == '#') continue;
-      std::size_t pos = 0;
-      const unsigned long long v = std::stoull(line, &pos);
-      if (pos != line.size())
-        throw std::runtime_error("malformed id line in " + path + ": " + line);
-      sink.push_back(static_cast<NodeId>(v));
-    }
+  explicit FileReader(const TraceReplayConfig& config)
+      : reader(config.path),
+        slurp(config.io == TraceReplayConfig::IoMode::kSlurp),
+        buffer_ids(config.buffer_ids) {
+    if (slurp) reader.read(all, std::numeric_limits<std::size_t>::max());
   }
 
   /// Appends up to `n` further ids, each plus `offset`, to `out` and
-  /// returns how many; fewer than `n` only at end of trace.
+  /// returns how many; fewer than `n` only at end of trace.  On a throw,
+  /// `out` is left as it was.
   std::size_t serve(Stream& out, std::size_t n, NodeId offset) {
-    std::size_t served = 0;
-    while (served < n) {
-      if (!slurp && cur_pos == buf[cur].size()) {
-        // Front buffer drained: prefetch the chunk after next into it, then
-        // serve from the back buffer that was filled one swap ago.
-        buf[cur].clear();
-        fill(buf[cur]);
-        cur ^= 1;
-        cur_pos = 0;
-      }
-      const Stream& from = slurp ? all : buf[cur];
-      std::size_t& at = slurp ? pos : cur_pos;
-      const std::size_t take = std::min(n - served, from.size() - at);
-      if (take == 0) break;
-      const auto first = from.begin() + static_cast<std::ptrdiff_t>(at);
-      const auto base = static_cast<std::ptrdiff_t>(out.size());
+    const std::size_t base = out.size();
+    if (slurp) {
+      const std::size_t take = std::min(n, all.size() - pos);
+      const auto first = all.begin() + static_cast<std::ptrdiff_t>(pos);
       out.insert(out.end(), first, first + static_cast<std::ptrdiff_t>(take));
-      for (auto i = out.begin() + base; i != out.end(); ++i) *i += offset;
-      at += take;
-      served += take;
+      pos += take;
+    } else {
+      try {
+        for (std::size_t served = 0; served < n;) {
+          const std::size_t want = std::min(n - served, buffer_ids);
+          const std::size_t got = reader.read(out, want);
+          served += got;
+          if (got < want) break;
+        }
+      } catch (...) {
+        out.resize(base);
+        throw;
+      }
     }
-    return served;
+    for (auto i = out.begin() + static_cast<std::ptrdiff_t>(base);
+         i != out.end(); ++i)
+      *i += offset;
+    return out.size() - base;
   }
 
-  std::string path;
-  std::ifstream in;
-  bool binary = false;
-  bool slurp = false;
-  // Binary decode state: runs not yet read from the file, the block of
-  // read runs and the decode cursor in it, and the current run's remainder
-  // (a run may span many chunks).
-  std::uint64_t runs_unread = 0;
-  std::vector<char> block;
-  std::size_t block_pos = 0;
-  std::size_t block_end = 0;
-  NodeId run_id = 0;
-  std::uint64_t run_left = 0;
-  std::uint64_t declared_total = 0;
-  std::uint64_t decoded_total = 0;
-  bool length_checked = false;
-  // Slurp state.
+  TraceReader reader;
+  bool slurp;
+  std::size_t buffer_ids;
+  // Slurp state: the whole decoded trace and the serve cursor in it.
   Stream all;
   std::size_t pos = 0;
-  // Buffered state.
-  std::size_t buffer_ids = 0;
-  Stream buf[2];
-  std::size_t cur = 0;
-  std::size_t cur_pos = 0;
 };
 
 TraceReplaySource::TraceReplaySource(TraceReplayConfig config)

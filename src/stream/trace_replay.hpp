@@ -9,10 +9,10 @@
 //
 //  * recorded traces on disk (the trace_io formats: one-id-per-line text or
 //    USTRC001 run-length binary, e.g. the calibrated webtrace streams),
-//    replayed either by slurping the whole file or through a double-buffered
-//    chunked reader that decodes the next chunk into a back buffer while
-//    the front buffer drains — so multi-million-id traces stream through
-//    the engine at O(buffer_ids) memory;
+//    decoded by trace_io's TraceReader and replayed either by slurping the
+//    whole file or by decoding each round straight into the caller's batch
+//    — so multi-million-id traces stream through the engine without the
+//    trace ever being held in memory;
 //  * deterministic generators for three production shapes: diurnal load
 //    (triangle-wave volume), flash crowds (a volume spike concentrated on a
 //    small hot set), and drifting heavy hitters (the Zipf head rotates
@@ -55,7 +55,7 @@ struct TraceReplayConfig {
     kDriftingHotSet,  ///< Zipf stream whose head drifts through the domain
   };
   enum class IoMode {
-    kBuffered,  ///< double-buffered chunked decode, O(buffer_ids) memory
+    kBuffered,  ///< decode each round from the file as it is served
     kSlurp,     ///< load the whole file up front (differential anchor)
   };
 
@@ -92,7 +92,8 @@ struct TraceReplayConfig {
   std::size_t drift_step = 1;
 
   /// kTraceFile: the trace path (format sniffed from the USTRC001 magic)
-  /// and how to read it.  buffer_ids is the chunk size of kBuffered.
+  /// and how to read it.  buffer_ids caps the ids one kBuffered read
+  /// decodes into the round; the round batch, not the source, holds them.
   std::string path;
   IoMode io = IoMode::kBuffered;
   std::size_t buffer_ids = 4096;
@@ -117,8 +118,10 @@ void validate(const TraceReplayConfig& config);
 class TraceReplaySource {
  public:
   /// Validates the config; kTraceFile opens the file and checks a binary
-  /// trace's header against the file size (throws std::runtime_error on
-  /// IO failure or a malformed header, like trace_io's loaders).
+  /// trace's header against the file size and its first block of runs
+  /// against the header (throws std::runtime_error on IO failure or a
+  /// malformed file, like trace_io's loaders).  kSlurp decodes the whole
+  /// trace here; kBuffered decodes no id yet.
   explicit TraceReplaySource(TraceReplayConfig config);
   ~TraceReplaySource();
   TraceReplaySource(TraceReplaySource&&) noexcept;
@@ -127,7 +130,8 @@ class TraceReplaySource {
   /// Appends the next round's ids to `out` and returns how many were
   /// appended.  Generator kinds always produce the round's full volume;
   /// kTraceFile produces fewer — eventually zero — once the trace is
-  /// exhausted.
+  /// exhausted, and throws std::runtime_error, leaving `out` as it was,
+  /// when the round reaches a malformed block or text line.
   std::size_t next_round(Stream& out);
 
   /// Rounds generated so far.

@@ -11,7 +11,8 @@
 namespace unisamp {
 
 /// Streaming CSV writer.  Quotes fields when needed (comma, quote, newline).
-/// Writes are flushed on destruction; errors surface via good().
+/// Errors surface via good(), which flushes first so that a failure to
+/// write the buffered rows shows too.
 class CsvWriter {
  public:
   explicit CsvWriter(const std::string& path);
@@ -29,14 +30,15 @@ class CsvWriter {
   /// Convenience: row of doubles, formatted with %.8g.
   void row_numeric(const std::vector<double>& values);
 
-  bool good() const { return out_.good(); }
+  bool good() const { return out_.flush().good(); }
 
   /// Formats a double like the row helpers do (exposed for tests).
   static std::string format(double v);
 
  private:
   void write_cell(std::string_view cell, bool first);
-  std::ofstream out_;
+  // mutable: good() flushes, so it stays an observer of the written rows.
+  mutable std::ofstream out_;
 };
 
 }  // namespace unisamp

@@ -8,11 +8,14 @@
 //    and therefore checksums — for ANY thread count (the figures average
 //    trials on the util/parallel pool),
 //  - unisamp-figure-v1 sidecar validity: syntactically well-formed JSON
-//    carrying the required schema fields for at least three ported figures.
+//    carrying the required schema fields for at least three ported figures,
+//  - the CSV, sidecar and report writers report a failed flush.
 #include <gtest/gtest.h>
 
 #include <cctype>
 #include <cstdint>
+#include <filesystem>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -306,6 +309,22 @@ TEST(FigureSidecarTest, JsonIsValidAndCarriesSchemaFields) {
           << def.slug << " missing " << required;
     }
   }
+}
+
+// /dev/full accepts the open and the buffered writes; only the flush
+// fails.  Each writer must still report it.
+TEST(FigureSidecarTest, WritersReportAFailedFlush) {
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  FigureSeries series;
+  series.columns = {"x", "y"};
+  series.rows = {{1.0, 2.0}};
+  const FigureDef def;
+  const ScenarioReport report;
+  EXPECT_FALSE(write_figure_csv("/dev/full", series));
+  EXPECT_FALSE(
+      write_figure_json("/dev/full", def, FigureContext{}, report, series));
+  EXPECT_FALSE(write_report_json("/dev/full", std::span(&report, 1),
+                                 RunOptions{}));
 }
 
 TEST(FigureSidecarTest, JsonScannerRejectsMalformedDocuments) {

@@ -47,9 +47,24 @@ TEST_F(TraceIoTest, TextSkipsCommentsAndBlanks) {
 
 TEST_F(TraceIoTest, TextRejectsGarbage) {
   const auto p = track(path("t3.txt"));
-  std::ofstream out(p);
-  out << "12abc\n";
-  out.close();
+  // Each line must be exactly one decimal u64: trailing junk, no digits, a
+  // sign, a leading space and 2^64 all throw std::runtime_error naming the
+  // file.
+  for (const char* line :
+       {"12abc", "abc", "-5", "+5", " 5", "18446744073709551616"}) {
+    std::ofstream out(p);
+    out << "1\n" << line << "\n";
+    out.close();
+    try {
+      load_stream_text(p);
+      ADD_FAILURE() << "accepted " << line;
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(std::string(e.what()),
+                "malformed id line in " + p + ": " + line);
+    }
+  }
+  // A binary trace is not text.
+  save_stream_binary({1, 2, 3}, p);
   EXPECT_THROW(load_stream_text(p), std::runtime_error);
 }
 
@@ -118,6 +133,16 @@ TEST_F(TraceIoTest, BinaryRejectsHugeTotalWithoutAllocating) {
   write_raw_trace(p, 0, std::uint64_t{1} << 40, {});
   ASSERT_EQ(std::filesystem::file_size(p), 24u);
   EXPECT_THROW(load_stream_binary(p), std::runtime_error);
+  // A consistent 40-byte header can still declare more ids than any
+  // vector holds: the whole-file load fails as a runtime_error, while a
+  // reader bounded by max_ids streams it.
+  const std::uint64_t huge = std::uint64_t{1} << 62;
+  write_raw_trace(p, 1, huge, {7, huge});
+  EXPECT_THROW(load_stream_binary(p), std::runtime_error);
+  TraceReader reader(p);
+  Stream out;
+  EXPECT_EQ(reader.read(out, 1000), 1000u);
+  EXPECT_EQ(out, Stream(1000, 7));
 }
 
 // The file must be exactly 24 + 16 * runs bytes.
@@ -131,6 +156,47 @@ TEST_F(TraceIoTest, BinaryRejectsSizeNotMatchingRunCount) {
   EXPECT_THROW(load_stream_binary(p), std::runtime_error);
   write_raw_trace(p, 1, 1, {7, 1});  // the well-formed file
   EXPECT_EQ(load_stream_binary(p), (Stream{7}));
+}
+
+// The ofstream destructor's flush is too late to report a failure: the
+// writers must close and check, or /dev/full swallows the ids silently.
+TEST_F(TraceIoTest, WritersThrowWhenTheFlushFails) {
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  EXPECT_THROW(save_stream_text({1, 2, 3}, "/dev/full"), std::runtime_error);
+  EXPECT_THROW(save_stream_binary({1, 2, 3}, "/dev/full"),
+               std::runtime_error);
+}
+
+// TraceReader serves the whole-file loaders' stream in any split: read(out,
+// 0) consumes nothing, each read returns what it appended, and past the
+// end every read returns 0.
+TEST_F(TraceIoTest, ReaderStreamsEitherFormatInAnySplit) {
+  Stream original;
+  for (NodeId id = 0; id < 40; ++id)
+    original.insert(original.end(), id % 7, id);  // runs of 0 to 6 ids
+  const auto text = track(path("r1.txt"));
+  const auto binary = track(path("r1.bin"));
+  save_stream_text(original, text);
+  save_stream_binary(original, binary);
+  for (const auto& p : {text, binary}) {
+    for (const std::size_t chunk : {1, 5, 4096}) {
+      TraceReader reader(p);
+      EXPECT_EQ(reader.binary(), p == binary);
+      Stream out;
+      EXPECT_EQ(reader.read(out, 0), 0u);
+      for (;;) {
+        const std::size_t before = out.size();
+        const std::size_t got = reader.read(out, chunk);
+        ASSERT_EQ(out.size() - before, got) << p;
+        if (got < chunk) break;
+        EXPECT_EQ(reader.read(out, 0), 0u);
+      }
+      EXPECT_EQ(out, original) << p << " chunk=" << chunk;
+      EXPECT_EQ(reader.read(out, chunk), 0u);
+      EXPECT_EQ(reader.read(out, chunk), 0u);
+      EXPECT_EQ(out.size(), original.size());
+    }
+  }
 }
 
 TEST_F(TraceIoTest, CalibratedTraceRoundTrip) {

@@ -243,9 +243,12 @@ Stream replay_file(const std::string& path, TraceReplayConfig::IoMode io,
 }
 
 // Both IO modes, at several chunk and round sizes, serve exactly what the
-// whole-file loader decodes.
-void expect_replay_matches_load(const std::string& path) {
+// whole-file loader decodes, and both equal the stream `path` was written
+// from (save_stream_binary does not share the decoder under test).
+void expect_replay_matches_load(const std::string& path,
+                                const Stream& written) {
   const Stream expected = load_stream_binary(path);
+  ASSERT_EQ(expected, written);
   for (const std::size_t buffer_ids : {1, 7, 4096, 10000}) {
     for (const std::size_t per_round : {1, 97, 5000}) {
       const Stream buffered = replay_file(
@@ -279,13 +282,15 @@ Stream run_stream(std::size_t runs, std::uint64_t max_run, std::uint64_t seed) {
 TEST(TraceReplayFileTest, BinaryBlockBoundariesMatchWholeFileLoad) {
   const std::string path = temp_trace_path("blocks");
   for (const std::size_t runs : {4095, 4096, 4097, 8192, 10001}) {
-    save_stream_binary(run_stream(runs, 3, runs), path);
+    const Stream trace = run_stream(runs, 3, runs);
+    save_stream_binary(trace, path);
     SCOPED_TRACE("runs=" + std::to_string(runs));
-    expect_replay_matches_load(path);
+    expect_replay_matches_load(path, trace);
   }
-  save_stream_binary(run_stream(40, 30000, 5), path);  // runs > buffer_ids
+  const Stream long_runs = run_stream(40, 30000, 5);  // runs > buffer_ids
+  save_stream_binary(long_runs, path);
   SCOPED_TRACE("long runs");
-  expect_replay_matches_load(path);
+  expect_replay_matches_load(path, long_runs);
   std::remove(path.c_str());
 }
 
@@ -306,17 +311,17 @@ void write_raw_trace(const std::string& path, std::uint64_t runs,
 TEST(TraceReplayFileTest, BinaryZeroLengthRunsMatchWholeFileLoad) {
   const std::string path = temp_trace_path("zero_runs");
   std::vector<std::uint64_t> payload;
-  std::uint64_t total = 0;
+  Stream written;
   constexpr std::uint64_t kRuns = 9000;
   for (std::uint64_t r = 0; r < kRuns; ++r) {
     const bool empty = r % 5 == 0 || r == 4095 || r == 4096 || r == kRuns - 1;
     const std::uint64_t length = empty ? 0 : 1 + r % 3;
     payload.push_back(r % 11);
     payload.push_back(length);
-    total += length;
+    written.insert(written.end(), length, r % 11);
   }
-  write_raw_trace(path, kRuns, total, payload);
-  expect_replay_matches_load(path);
+  write_raw_trace(path, kRuns, written.size(), payload);
+  expect_replay_matches_load(path, written);
   std::remove(path.c_str());
 }
 
@@ -364,6 +369,54 @@ TEST(TraceReplayFileTest, BinaryLateLyingRunNeverExceedsDeclaredTotal) {
       },
       std::runtime_error);
   EXPECT_LE(served.size(), 6u);
+  config.io = TraceReplayConfig::IoMode::kSlurp;
+  EXPECT_THROW(TraceReplaySource{config}, std::runtime_error);
+
+  // Run 5000 of 6000 lies, inside the second 4096-run block.  Each block
+  // is checked when it is read, before any of its ids is decoded: the
+  // buffered replay serves the first block's 4096 ids and then throws.
+  std::vector<std::uint64_t> payload;
+  for (std::uint64_t r = 0; r < 6000; ++r) {
+    payload.push_back(r);
+    payload.push_back(r == 5000 ? std::uint64_t{1} << 40 : 1);
+  }
+  write_raw_trace(path, 6000, 6000, payload);
+  config.io = TraceReplayConfig::IoMode::kBuffered;
+  served.clear();
+  EXPECT_THROW(
+      {
+        TraceReplaySource source(config);
+        for (int round = 0; round < 6000; ++round) source.next_round(served);
+      },
+      std::runtime_error);
+  ASSERT_EQ(served.size(), 4096u);
+  for (NodeId i = 0; i < 4096; ++i) ASSERT_EQ(served[i], i);
+  config.io = TraceReplayConfig::IoMode::kSlurp;
+  EXPECT_THROW(TraceReplaySource{config}, std::runtime_error);
+  std::remove(path.c_str());
+}
+
+// A malformed text line throws std::runtime_error from the round that
+// reaches it; the rounds before it are served in full.
+TEST(TraceReplayFileTest, TextMalformedLineThrowsFromTheRoundReachingIt) {
+  const std::string path = temp_trace_path("bad_line");
+  {
+    std::ofstream out(path);
+    for (int id = 0; id < 10; ++id) out << id << '\n';
+    out << "-5\n";
+  }
+  TraceReplayConfig config;
+  config.kind = TraceReplayConfig::Kind::kTraceFile;
+  config.path = path;
+  config.id_offset = 0;
+  config.buffer_ids = 3;
+  config.ids_per_round = 4;
+  TraceReplaySource source(config);
+  Stream served;
+  EXPECT_EQ(source.next_round(served), 4u);
+  EXPECT_EQ(source.next_round(served), 4u);
+  EXPECT_THROW(source.next_round(served), std::runtime_error);
+  EXPECT_EQ(served, (Stream{0, 1, 2, 3, 4, 5, 6, 7}));
   config.io = TraceReplayConfig::IoMode::kSlurp;
   EXPECT_THROW(TraceReplaySource{config}, std::runtime_error);
   std::remove(path.c_str());

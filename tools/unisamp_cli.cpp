@@ -9,10 +9,13 @@
 //   unisamp_cli stats <trace>
 //
 // Traces are one-id-per-line text files ('#' comments allowed).
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <stdexcept>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "adversary/attacks.hpp"
@@ -46,8 +49,24 @@ int usage() {
   return 2;
 }
 
+// The whole argument must be one decimal u64: no sign, no space, no junk,
+// no overflow.
 std::uint64_t parse_u64(const char* s) {
-  return std::strtoull(s, nullptr, 10);
+  std::uint64_t v = 0;
+  const char* end = s + std::strlen(s);
+  const auto [stop, ec] = std::from_chars(s, end, v);
+  if (ec != std::errc{} || stop != end)
+    throw std::invalid_argument(std::string("invalid number: ") + s);
+  return v;
+}
+
+// The whole argument must be one decimal floating-point number.
+double parse_double(const char* s) {
+  char* end = nullptr;
+  const double v = std::strtod(s, &end);
+  if (end == s || *end != '\0')
+    throw std::invalid_argument(std::string("invalid number: ") + s);
+  return v;
 }
 
 bool flag_value(int argc, char** argv, const char* name, std::string& out) {
@@ -90,6 +109,10 @@ int cmd_gen_attack(int argc, char** argv) {
   const std::uint64_t m = parse_u64(argv[2]);
   const std::string out = argv[3];
   const std::uint64_t seed = argc > 4 ? parse_u64(argv[4]) : 1;
+  if (n == 0) throw std::invalid_argument("gen-attack: n = 0 is not positive");
+  if (m < n)
+    throw std::invalid_argument("gen-attack: m = " + std::to_string(m) +
+                                " is less than n = " + std::to_string(n));
   Stream stream;
   if (kind == "peak") {
     const std::uint64_t base = m / (2 * n) ? m / (2 * n) : 1;
@@ -109,7 +132,6 @@ int cmd_gen_attack(int argc, char** argv) {
 
 int cmd_run(int argc, char** argv) {
   if (argc < 2) return usage();
-  const Stream input = load_stream_text(argv[0]);
   const std::string out_path = argv[1];
   std::string v;
   ServiceConfig cfg;
@@ -120,6 +142,7 @@ int cmd_run(int argc, char** argv) {
   cfg.sketch_width = flag_value(argc, argv, "k", v) ? parse_u64(v.c_str()) : 10;
   cfg.sketch_depth = flag_value(argc, argv, "s", v) ? parse_u64(v.c_str()) : 5;
   cfg.seed = flag_value(argc, argv, "seed", v) ? parse_u64(v.c_str()) : 1;
+  const Stream input = load_stream_text(argv[0]);
 
   if (cfg.strategy == Strategy::kOmniscient) {
     FrequencyHistogram h;
@@ -175,7 +198,7 @@ int cmd_effort(int argc, char** argv) {
   if (argc < 3) return usage();
   const std::uint64_t k = parse_u64(argv[0]);
   const std::uint64_t s = parse_u64(argv[1]);
-  const double eta = std::strtod(argv[2], nullptr);
+  const double eta = parse_double(argv[2]);
   std::printf("k=%llu s=%llu eta=%g:\n", static_cast<unsigned long long>(k),
               static_cast<unsigned long long>(s), eta);
   std::printf("  targeted attack needs L_{k,s} = %llu distinct forged ids\n",
