@@ -19,14 +19,14 @@ std::string_view to_string(AttackSignal signal) {
 
 AttackDetector::AttackDetector(DetectorConfig config)
     : config_(config),
-      window_stats_(std::make_unique<StreamingEntropy>(
-          config.heavy_capacity, config.hll_precision, config.seed)) {
+      window_stats_(config.heavy_capacity, config.hll_precision,
+                    config.seed) {
   if (config_.window == 0)
     throw std::invalid_argument("window must be positive");
 }
 
 std::optional<WindowReport> AttackDetector::observe(NodeId id) {
-  window_stats_->add(id);
+  window_stats_.add(id);
   if (++in_window_ < config_.window) return std::nullopt;
   return close_window();
 }
@@ -34,11 +34,12 @@ std::optional<WindowReport> AttackDetector::observe(NodeId id) {
 WindowReport AttackDetector::close_window() {
   WindowReport report;
   report.window_index = windows_closed_;
-  report.distinct = window_stats_->distinct_estimate();
-  report.normalized_entropy = window_stats_->normalized_estimate();
+  report.distinct = window_stats_.distinct_estimate();
+  report.normalized_entropy =
+      window_stats_.normalized_estimate(report.distinct);
   report.fair_share = report.distinct > 0.0 ? 1.0 / report.distinct : 0.0;
 
-  const auto entries = window_stats_->heavy_hitters().entries();
+  const auto entries = window_stats_.heavy_hitters().entries();
   if (!entries.empty()) {
     const double guaranteed =
         static_cast<double>(entries.front().count - entries.front().error);
@@ -60,9 +61,7 @@ WindowReport AttackDetector::close_window() {
   history_.push_back(report);
   ++windows_closed_;
   in_window_ = 0;
-  window_stats_ = std::make_unique<StreamingEntropy>(
-      config_.heavy_capacity, config_.hll_precision,
-      config_.seed + windows_closed_);
+  window_stats_.reset(config_.seed + windows_closed_);
   return report;
 }
 

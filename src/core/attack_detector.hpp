@@ -14,7 +14,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <string_view>
 #include <vector>
@@ -74,7 +73,7 @@ class AttackDetector {
   WindowReport close_window();
 
   DetectorConfig config_;
-  std::unique_ptr<StreamingEntropy> window_stats_;
+  StreamingEntropy window_stats_;  ///< reset in place when a window closes
   std::uint64_t in_window_ = 0;
   std::uint64_t windows_closed_ = 0;
   double baseline_distinct_ = 0.0;  ///< from the first window

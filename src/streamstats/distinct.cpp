@@ -19,13 +19,22 @@ constexpr std::array<double, 65> kInversePowersOfTwo = [] {
   }
   return table;
 }();
+
+std::uint64_t hll_key(std::uint64_t seed) {
+  return SplitMix64::mix(seed ^ 0x4C4C4853ULL);
+}
 }  // namespace
 
 HyperLogLog::HyperLogLog(unsigned precision, std::uint64_t seed)
-    : precision_(precision), key_(SplitMix64::mix(seed ^ 0x4C4C4853ULL)) {
+    : precision_(precision), key_(hll_key(seed)) {
   if (precision < 4 || precision > 18)
     throw std::invalid_argument("HLL precision must be in [4, 18]");
   registers_.assign(std::size_t{1} << precision, 0);
+}
+
+void HyperLogLog::reset(std::uint64_t seed) {
+  key_ = hll_key(seed);
+  std::fill(registers_.begin(), registers_.end(), std::uint8_t{0});
 }
 
 void HyperLogLog::add(std::uint64_t item) {

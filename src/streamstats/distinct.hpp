@@ -26,6 +26,9 @@ class HyperLogLog {
   HyperLogLog(unsigned precision, std::uint64_t seed);
 
   void add(std::uint64_t item);
+  /// Empties the sketch and re-keys it, as if constructed with `seed`;
+  /// allocates nothing.
+  void reset(std::uint64_t seed);
   /// Estimated number of distinct items added.
   double estimate() const;
 

@@ -14,7 +14,12 @@ void StreamingEntropy::add(std::uint64_t item) {
   distinct_.add(item);
 }
 
-double StreamingEntropy::estimate() const {
+void StreamingEntropy::reset(std::uint64_t seed) {
+  heavy_.clear();
+  distinct_.reset(seed);
+}
+
+double StreamingEntropy::estimate_with(double distinct_ids) const {
   const double n_total = static_cast<double>(heavy_.stream_length());
   if (n_total == 0.0) return 0.0;
 
@@ -36,7 +41,7 @@ double StreamingEntropy::estimate() const {
   // Tail model: residual mass spread uniformly over the untracked ids.
   const double residual = std::max(0.0, 1.0 - tracked_mass);
   const double distinct =
-      std::max(distinct_.estimate(), static_cast<double>(tracked_ids) + 1.0);
+      std::max(distinct_ids, static_cast<double>(tracked_ids) + 1.0);
   const double tail_ids =
       std::max(1.0, distinct - static_cast<double>(tracked_ids));
   if (residual > 0.0) {
@@ -46,10 +51,9 @@ double StreamingEntropy::estimate() const {
   return h;
 }
 
-double StreamingEntropy::normalized_estimate() const {
-  const double distinct = std::max(distinct_.estimate(), 2.0);
-  const double h_max = std::log(distinct);
-  return std::clamp(estimate() / h_max, 0.0, 1.5);
+double StreamingEntropy::normalized_estimate(double distinct) const {
+  const double h_max = std::log(std::max(distinct, 2.0));
+  return std::clamp(estimate_with(distinct) / h_max, 0.0, 1.5);
 }
 
 }  // namespace unisamp

@@ -28,19 +28,31 @@ class StreamingEntropy {
 
   void add(std::uint64_t item);
 
+  /// Empties both sketches and re-keys the distinct counter, as if
+  /// constructed with `seed`; allocates nothing.
+  void reset(std::uint64_t seed);
+
   /// Entropy estimate (nats): exact contribution of the tracked heavy
   /// hitters + uniform-tail model for the rest.
-  double estimate() const;
+  double estimate() const { return estimate_with(distinct_estimate()); }
 
   /// Normalised entropy in [0, 1]: estimate / ln(distinct estimate);
   /// ~1 for a uniform stream, small under a peak/flooding attack.
-  double normalized_estimate() const;
+  double normalized_estimate() const {
+    return normalized_estimate(distinct_estimate());
+  }
+  /// The same, from a distinct_estimate() the caller already holds (one
+  /// scan of the distinct counter instead of two).
+  double normalized_estimate(double distinct) const;
 
   double distinct_estimate() const { return distinct_.estimate(); }
   std::uint64_t stream_length() const { return heavy_.stream_length(); }
   const SpaceSaving& heavy_hitters() const { return heavy_; }
 
  private:
+  /// estimate() from a distinct_estimate() already taken.
+  double estimate_with(double distinct) const;
+
   SpaceSaving heavy_;
   HyperLogLog distinct_;
 };

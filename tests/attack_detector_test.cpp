@@ -3,8 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+
 #include "adversary/attacks.hpp"
 #include "stream/generators.hpp"
+#include "util/rng.hpp"
 
 namespace unisamp {
 namespace {
@@ -109,6 +112,66 @@ TEST(AttackDetector, PoissonBandAttackTripsPeakSignal) {
   const auto attack = make_poisson_band_attack(1000, 40000, 17);
   for (NodeId id : attack.stream) detector.observe(id);
   EXPECT_NE(detector.worst_signal(), AttackSignal::kNone);
+}
+
+// --- Golden window reports ---------------------------------------------------
+
+// Folds every field of every WindowReport (doubles by bit pattern).
+std::uint64_t fold_reports(const std::vector<WindowReport>& history) {
+  std::uint64_t acc = history.size();
+  const auto fold = [&acc](std::uint64_t v) {
+    acc = SplitMix64::mix(acc ^ v);
+  };
+  for (const WindowReport& r : history) {
+    fold(r.window_index);
+    fold(static_cast<std::uint64_t>(r.signal));
+    fold(std::bit_cast<std::uint64_t>(r.top_share));
+    fold(std::bit_cast<std::uint64_t>(r.fair_share));
+    fold(std::bit_cast<std::uint64_t>(r.distinct));
+    fold(std::bit_cast<std::uint64_t>(r.normalized_entropy));
+  }
+  return acc;
+}
+
+// 2 * 10^5 ids each: the targeted attack of the replay benchmark (half
+// honest Zipf(0.8) over 10^5 ids, half 200 forged ids), a flooding attack
+// (5000 forged ids on honest Zipf(0.8) over 2 * 10^4 ids) and plain
+// Zipf(1.0) over 5 * 10^4 ids.
+Stream golden_stream(int kind) {
+  constexpr std::uint64_t kIds = 200'000;
+  if (kind == 0) {
+    const auto base = counts_from_weights(zipf_weights(100'000, 0.8), kIds / 2);
+    return make_targeted_attack(base, 200, kIds / 2 / 200, 21).stream;
+  }
+  if (kind == 1) {
+    const auto base = counts_from_weights(zipf_weights(20'000, 0.8), kIds / 2);
+    return make_flooding_attack(base, 5000, kIds / 2 / 5000, 22).stream;
+  }
+  return WeightedStreamGenerator(zipf_weights(50'000, 1.0), 23).take(kIds);
+}
+
+// Pins the detector's window reports bit for bit: the SpaceSaving eviction
+// order decides which ids a window tracks, and so every report field.
+TEST(AttackDetector, GoldenWindowReports) {
+  constexpr std::size_t kCapacities[] = {32, 64, 256};
+  constexpr std::uint64_t kGolden[3][3] = {
+      {17482244927244050272ULL, 1372302034926648691ULL, 11544699163116920439ULL},
+      {7441597185880086861ULL, 1471038817260201223ULL, 8364883568245023549ULL},
+      {12378105950887631303ULL, 1220801680109866632ULL, 7583353704740539371ULL},
+  };
+  for (int kind = 0; kind < 3; ++kind) {
+    const Stream stream = golden_stream(kind);
+    for (int c = 0; c < 3; ++c) {
+      DetectorConfig cfg;
+      cfg.heavy_capacity = kCapacities[c];
+      cfg.seed = 5;
+      AttackDetector detector(cfg);
+      for (const NodeId id : stream) detector.observe(id);
+      ASSERT_EQ(detector.history().size(), stream.size() / cfg.window);
+      EXPECT_EQ(fold_reports(detector.history()), kGolden[kind][c])
+          << "stream " << kind << ", heavy_capacity " << kCapacities[c];
+    }
+  }
 }
 
 }  // namespace

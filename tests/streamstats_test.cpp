@@ -9,6 +9,7 @@
 #include <map>
 #include <set>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "stream/generators.hpp"
@@ -128,6 +129,20 @@ TEST(Hll, EstimateBitIdenticalToPowSum) {
   }
 }
 
+TEST(Hll, ResetEqualsFreshSketch) {
+  HyperLogLog reused(12, 1);
+  for (std::uint64_t id = 0; id < 50000; ++id) reused.add(id * 31);
+  reused.reset(9);
+  HyperLogLog fresh(12, 9);
+  for (std::uint64_t id = 0; id < 3000; ++id) {
+    reused.add(id);
+    fresh.add(id);
+  }
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(reused.estimate()),
+            std::bit_cast<std::uint64_t>(fresh.estimate()));
+  EXPECT_NO_THROW(fresh.merge(reused));  // same key after the reset
+}
+
 TEST(Hll, MergeRejectsIncompatible) {
   HyperLogLog a(10, 5), b(11, 5), c(10, 6);
   EXPECT_THROW(a.merge(b), std::invalid_argument);
@@ -138,6 +153,11 @@ TEST(Hll, MergeRejectsIncompatible) {
 
 TEST(SpaceSaving, RejectsZeroCapacity) {
   EXPECT_THROW(SpaceSaving(0), std::invalid_argument);
+}
+
+TEST(SpaceSaving, RejectsCapacityBeyondSlotIndices) {
+  // Slots are linked by 32-bit indices; rejected before any allocation.
+  EXPECT_THROW(SpaceSaving(std::size_t{1} << 32), std::invalid_argument);
 }
 
 TEST(SpaceSaving, ExactWhenUnderCapacity) {
@@ -363,6 +383,85 @@ TEST(SpaceSavingDifferential, MatchesReferenceAtEveryWindowEnd) {
       }
     }
   }
+}
+
+// Deterministic cases for the resumed victim walk.  At capacity 5 the
+// table has B = 5 buckets, so ids 0..4 fill buckets 0..4, each at the front
+// of the iteration order: the order is 4, 3, 2, 1, 0.
+using Adds = std::vector<std::pair<std::uint64_t, std::uint64_t>>;
+
+void ExpectSameAfterEachAdd(std::size_t capacity, const Adds& adds) {
+  SpaceSaving ss(capacity);
+  ReferenceSpaceSaving ref(capacity);
+  std::vector<std::uint64_t> probes;
+  for (const auto& [id, w] : adds) probes.push_back(id);
+  for (std::size_t i = 0; i < adds.size(); ++i) {
+    ss.add(adds[i].first, adds[i].second);
+    ref.add(adds[i].first, adds[i].second);
+    ASSERT_TRUE(SameState(ss, ref, probes)) << "add " << i;
+  }
+}
+
+Adds FillFiveThenRaise(std::initializer_list<std::uint64_t> raised) {
+  Adds adds = {{0, 1}, {1, 1}, {2, 1}, {3, 1}, {4, 1}};
+  for (const std::uint64_t id : raised) adds.push_back({id, 1});
+  return adds;
+}
+
+TEST(SpaceSavingCursor, FiveBucketsAtCapacityFive) {
+  std::unordered_map<std::uint64_t, int> map;
+  map.reserve(5);
+  ASSERT_EQ(map.bucket_count(), 5u);  // the premise of the cases below
+}
+
+TEST(SpaceSavingCursor, VictimIsLastInIterationOrder) {
+  // Only id 0, the last entry, is at the minimum; the walk ends on it.
+  // Then a weight-0 newcomer evicts the last entry again.
+  Adds adds = FillFiveThenRaise({4, 3, 2, 1});
+  adds.insert(adds.end(), {{10, 1}, {11, 1}, {12, 1}, {13, 1}, {14, 1}});
+  adds.insert(adds.end(), {{4, 1}, {3, 1}, {2, 1}, {1, 1}, {20, 0}, {21, 1}});
+  ExpectSameAfterEachAdd(5, adds);
+}
+
+TEST(SpaceSavingCursor, WeightZeroMissAfterEviction) {
+  // 10 evicts 4 and the walk stops at 3; 9 (weight 0) evicts 3 and enters
+  // at the minimum at the front, before where the walk stopped, so 8 must
+  // evict 9, not 2.
+  Adds adds = FillFiveThenRaise({});
+  adds.insert(adds.end(), {{10, 1}, {9, 0}, {8, 1}, {7, 1}, {6, 0}, {5, 1}});
+  ExpectSameAfterEachAdd(5, adds);
+}
+
+TEST(SpaceSavingCursor, RecountAfterEviction) {
+  // Only id 2 is at the minimum; 10 evicts it mid-order and rises with the
+  // rest, so the minimum is recounted and 12 must evict the front (4), not
+  // the entry after the old victim (1).
+  Adds adds = FillFiveThenRaise({4, 3, 1, 0});
+  adds.insert(adds.end(), {{10, 1}, {12, 1}, {13, 1}, {14, 1}, {15, 1}});
+  ExpectSameAfterEachAdd(5, adds);
+}
+
+TEST(SpaceSavingCursor, ClearEqualsFreshTable) {
+  SpaceSaving ss(13);
+  WeightedStreamGenerator gen(zipf_weights(200, 0.9), 3);
+  for (int i = 0; i < 2000; ++i) ss.add(gen.next());
+  ss.clear();
+  EXPECT_EQ(ss.tracked(), 0u);
+  EXPECT_EQ(ss.stream_length(), 0u);
+  ReferenceSpaceSaving ref(13);
+  std::vector<std::uint64_t> probes(201);
+  for (std::uint64_t id = 0; id <= 200; ++id) probes[id] = id;
+  for (int i = 0; i < 2000; ++i) {
+    const std::uint64_t id = gen.next();
+    ss.add(id);
+    ref.add(id);
+    ASSERT_TRUE(SameState(ss, ref, probes)) << "add " << i;
+  }
+}
+
+TEST(SpaceSavingCursor, CapacityOne) {
+  ExpectSameAfterEachAdd(1, {{5, 1}, {5, 2}, {7, 1}, {7, 0}, {8, 0},
+                             {9, 3}, {9, 1}, {4, 0}, {4, 1}, {6, 2}});
 }
 
 // --- StreamingEntropy --------------------------------------------------------

@@ -136,8 +136,12 @@ int cmd_run(int argc, char** argv) {
   std::string v;
   ServiceConfig cfg;
   cfg.strategy = Strategy::kKnowledgeFree;
-  if (flag_value(argc, argv, "strategy", v) && v == "omniscient")
-    cfg.strategy = Strategy::kOmniscient;
+  if (flag_value(argc, argv, "strategy", v)) {
+    if (v == "omniscient")
+      cfg.strategy = Strategy::kOmniscient;
+    else if (v != "kf")
+      throw std::invalid_argument("unknown strategy: " + v);
+  }
   cfg.memory_size = flag_value(argc, argv, "c", v) ? parse_u64(v.c_str()) : 10;
   cfg.sketch_width = flag_value(argc, argv, "k", v) ? parse_u64(v.c_str()) : 10;
   cfg.sketch_depth = flag_value(argc, argv, "s", v) ? parse_u64(v.c_str()) : 5;
